@@ -26,20 +26,10 @@ class AnalysisBundle:
 
     def violations(self, targets: RobustnessTargets) -> dict[str, float]:
         """Positive excess per violated constraint (empty when feasible)."""
-        out: dict[str, float] = {}
-        dd = self.crosstalk.worst_delta - targets.max_worst_delta
-        if dd > 0.0:
-            out["delta_delay"] = dd
-        sigma = self.mc.skew_3sigma - targets.max_skew_3sigma
-        if sigma > 0.0:
-            out["skew_3sigma"] = sigma
-        slew = self.timing.worst_slew - targets.max_slew
-        if slew > 0.0:
-            out["slew"] = slew
-        em = self.em.worst_utilization - targets.max_em_util
-        if em > 0.0:
-            out["em"] = em
-        return out
+        return targets.violations(worst_delta=self.crosstalk.worst_delta,
+                                  skew_3sigma=self.mc.skew_3sigma,
+                                  worst_slew=self.timing.worst_slew,
+                                  em_util=self.em.worst_utilization)
 
     def feasible(self, targets: RobustnessTargets) -> bool:
         """True when no constraint in ``targets`` is violated."""

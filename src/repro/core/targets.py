@@ -90,6 +90,29 @@ class RobustnessTargets:
             **kwargs,
         )
 
+    def violations(self, worst_delta: float, skew_3sigma: float,
+                   worst_slew: float, em_util: float) -> dict[str, float]:
+        """Positive excess per violated constraint (empty when feasible).
+
+        Takes the four measured metrics rather than an analysis bundle,
+        so a cached cell record is judged by exactly the comparisons a
+        live flow is.
+        """
+        out: dict[str, float] = {}
+        dd = worst_delta - self.max_worst_delta
+        if dd > 0.0:
+            out["delta_delay"] = dd
+        sigma = skew_3sigma - self.max_skew_3sigma
+        if sigma > 0.0:
+            out["skew_3sigma"] = sigma
+        slew = worst_slew - self.max_slew
+        if slew > 0.0:
+            out["slew"] = slew
+        em = em_util - self.max_em_util
+        if em > 0.0:
+            out["em"] = em
+        return out
+
     def relaxed(self, factor: float) -> "RobustnessTargets":
         """A copy with delta/skew budgets scaled by ``factor`` (sweeps)."""
         if factor <= 0.0:

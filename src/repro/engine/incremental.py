@@ -92,25 +92,41 @@ class FrozenVariation:
             self._area_mat = np.zeros((0, n_samples))
             self._r_mat = np.zeros((0, n_samples))
 
-        # Per-wire dict views into the matrices (row refreshes write
-        # through, so the views never go stale).
-        self.z_rand: dict[int, np.ndarray] = {
-            w.wire_id: self._z_rand_mat[i] for i, w in enumerate(wires)}
-        self.area_scale: dict[int, np.ndarray] = {
-            w.wire_id: self._area_mat[i] for i, w in enumerate(wires)}
-        self.r_scale: dict[int, np.ndarray] = {
-            w.wire_id: self._r_mat[i] for i, w in enumerate(wires)}
-
         d2d = rng.standard_normal(n_samples) * self.var.buffer_d2d_sigma
         n_stages = len(network.stages)
         rand = rng.standard_normal((n_stages, n_samples)) \
             * self.var.buffer_rand_sigma
         self._buf_mat = np.clip(1.0 + d2d[None, :] + rand, 0.3, None)
-        self.buf_scale: list[np.ndarray] = [
-            self._buf_mat[i] for i in range(n_stages)]
+        self._bind_views()
 
+    def _bind_views(self) -> None:
+        """Per-wire/per-stage row views into the factor matrices.
+
+        Row refreshes write through, so the views never go stale.
+        """
+        rows = self.wire_row.items()
+        self.z_rand: dict[int, np.ndarray] = {
+            wid: self._z_rand_mat[i] for wid, i in rows}
+        self.area_scale: dict[int, np.ndarray] = {
+            wid: self._area_mat[i] for wid, i in rows}
+        self.r_scale: dict[int, np.ndarray] = {
+            wid: self._r_mat[i] for wid, i in rows}
+        self.buf_scale: list[np.ndarray] = list(self._buf_mat)
         #: stage index -> (area_scale, r_scale) matrices in column order
         self._stage_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __getstate__(self) -> dict:
+        # Pickle would write every row view as an independent copy,
+        # detaching it from its matrix; ship the matrices only.
+        state = self.__dict__.copy()
+        for name in ("z_rand", "area_scale", "r_scale", "buf_scale",
+                     "_stage_cache"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_views()
 
     def area_matrix(self) -> np.ndarray:
         """(wires, samples) area-cap scale factors, ``wire_row`` order."""

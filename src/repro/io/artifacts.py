@@ -44,7 +44,9 @@ from repro import obs
 #: Bump to invalidate every previously stored artifact (schema change).
 #: 2: design identity moved to spec-content hashes (repro.designs) —
 #: keys derived under the old name-salted hashing must not be reused.
-ARTIFACT_SCHEMA = 2
+#: 3: a ``flow-cell`` entry holds a compact cell record and the full
+#: flow moved to a derived key — no whole-flow entry is read as a record.
+ARTIFACT_SCHEMA = 3
 
 #: Environment variable overriding the default on-disk cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -241,6 +243,7 @@ class ArtifactStore:
         """Persist ``obj`` under ``key`` (atomic rename; best effort)."""
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         obs.counter("artifacts.saves").inc()
+        obs.counter("artifacts.save_bytes").inc(len(blob))
         self._remember(key, blob)
         path = self.path_for(key)
         try:
@@ -283,6 +286,7 @@ class ArtifactStore:
         self._remember(key, blob)
         self.hits += 1
         obs.counter("artifacts.hits").inc()
+        obs.counter("artifacts.load_bytes").inc(len(blob))
         return obj
 
     def has(self, key: str) -> bool:

@@ -10,10 +10,16 @@ product through an :class:`~repro.io.artifacts.ArtifactStore`:
   recomputation;
 * the default-rule *build* is shared across every policy/slack cell of
   a design (each cell mutates its own snapshot);
-* completed *cells* are cached whole, so a warm rerun of the same
-  matrix is pure deserialisation;
+* completed *cells* are cached as two artifacts: a compact
+  :class:`CellRecord` (what :class:`JobResult` reports) under the
+  ``flow-cell`` key, and the full :class:`FlowResult` under a key
+  derived from it.  A warm rerun reads only the records — under a
+  kilobyte per cell — and unpickles a flow only for callers that need
+  one (``return_flows``, or verification);
 * an ALL-NDR cell is the reference flow under different budgets — the
-  runner re-wraps the cached reference instead of re-running it.
+  runner re-wraps the cached reference instead of re-running it;
+* each design resolves once per runner (once per worker in a pool),
+  memoized by its content fingerprint.
 
 Workers stream a full :mod:`repro.obs` trace — their span tree plus
 metric deltas — and static verification diagnostics back to the
@@ -87,6 +93,43 @@ class JobResult:
     flow: Optional[FlowResult] = None
 
 
+@dataclass(frozen=True)
+class CellRecord:
+    """The ``flow-cell`` artifact: exactly what a :class:`JobResult` reports.
+
+    A cached cell answers from this record alone; the full
+    :class:`FlowResult` lives under :func:`_flow_key` of the same key
+    and is unpickled only when a caller needs the flow itself.
+    """
+
+    summary: dict[str, float]
+    rule_histogram: dict[str, int]
+    ndr_track_cost: float
+    feasible: bool
+
+    @classmethod
+    def of(cls, flow: FlowResult) -> "CellRecord":
+        """The record of a finished flow."""
+        return cls(summary=flow.summary(),
+                   rule_histogram=dict(flow.rule_histogram),
+                   ndr_track_cost=flow.ndr_track_cost,
+                   feasible=flow.feasible)
+
+    def retarget(self, targets: RobustnessTargets) -> "CellRecord":
+        """This cell judged against other budgets (the ALL-NDR re-wrap).
+
+        Bit-identical to re-wrapping the flow: only feasibility depends
+        on the budgets, and it is decided from the same four metrics.
+        """
+        s = self.summary
+        feasible = not targets.violations(worst_delta=s["worst_delta_ps"],
+                                          skew_3sigma=s["skew_3sigma_ps"],
+                                          worst_slew=s["worst_slew_ps"],
+                                          em_util=s["em_worst_util"])
+        return replace(self, summary={**s, "feasible": float(feasible)},
+                       feasible=feasible)
+
+
 @dataclass
 class _ExecContext:
     """Everything a job execution needs besides the job itself."""
@@ -96,6 +139,17 @@ class _ExecContext:
     verify: bool
     guide: object = None
     return_flows: bool = False
+    #: design fingerprint -> resolved design, shared by every cell the
+    #: context runs (an edited design JSON fingerprints anew)
+    designs: dict[str, Design] = field(default_factory=dict)
+
+    def design(self, ref: DesignRef) -> Design:
+        """``ref`` resolved, once per design content."""
+        fp = design_ref_fingerprint(ref)
+        design = self.designs.get(fp)
+        if design is None:
+            design = self.designs[fp] = resolve_design(ref)
+        return design
 
 
 def _reference_targets(design: Design, tech: Technology,
@@ -126,7 +180,7 @@ def _guide_fingerprint(guide: Any) -> str:
 
 def _cell_key(job: JobSpec, ctx: _ExecContext,
               targets: RobustnessTargets) -> str:
-    """Content hash identifying one completed cell result."""
+    """Content hash identifying one completed cell (its record)."""
     parts = {
         "design": design_ref_fingerprint(job.design),
         "tech": ctx.tech,
@@ -136,6 +190,38 @@ def _cell_key(job: JobSpec, ctx: _ExecContext,
     if job.policy == Policy.SMART_ML and ctx.guide is not None:
         parts["guide"] = _guide_fingerprint(ctx.guide)
     return content_key("flow-cell", **parts)
+
+
+def _flow_key(record_key: str) -> str:
+    """Store key of the full :class:`FlowResult` behind a cell record."""
+    return content_key("flow-result", cell=record_key)
+
+
+def _load_cell(store: ArtifactStore, key: str, need_flow: bool
+               ) -> tuple[Optional[CellRecord], Optional[FlowResult]]:
+    """The cell stored under ``key``: its record, and its flow if needed.
+
+    A missing or corrupt record is a miss; so is a missing flow when
+    the caller needs one (the cell is then recomputed and both
+    artifacts saved again).
+    """
+    record = store.load(key)
+    if not isinstance(record, CellRecord):
+        return None, None
+    if not need_flow:
+        return record, None
+    flow = store.load(_flow_key(key))
+    if not isinstance(flow, FlowResult):
+        return None, None
+    return record, flow
+
+
+def _save_cell(store: ArtifactStore, key: str, record: CellRecord,
+               flow: Optional[FlowResult]) -> None:
+    """Store a cell: its flow (when there is one), then its record."""
+    if flow is not None:
+        store.save(_flow_key(key), flow)
+    store.save(key, record)
 
 
 def _verify_diagnostics(flow: FlowResult, label: str) -> list[dict[str, object]]:
@@ -162,35 +248,42 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],  # static: ok[C001
     for the parent process to adopt.
     """
     start = time.perf_counter()  # static: ok[D002] feeds JobResult.runtime metadata only
-    design = resolve_design(job.design)
+    design = ctx.design(job.design)
     targets = _reference_targets(design, ctx.tech, metrics, job.slack)
     store = ctx.store
     key = _cell_key(job, ctx, targets) if store is not None else None
+    # Only verification and flow-returning callers read the full flow;
+    # everyone else is answered from the compact record.
+    need_flow = ctx.verify or ctx.return_flows
 
     with obs.capture(f"cell:{job.label}") as tracer:
         with tracer.span(obs.CELL_SPAN, cell=job.label,
                          design=str(job.design),
                          policy=job.policy.value) as cell:
+            record: Optional[CellRecord] = None
             flow: Optional[FlowResult] = None
-            cached = False
             if key is not None and store is not None:
-                loaded = store.load(key)
-                if isinstance(loaded, FlowResult):
-                    flow, cached = loaded, True
-            if flow is None and key is not None and store is not None \
-                    and job.policy == Policy.ALL_NDR and job.slack is not None:
-                # An ALL-NDR cell is the reference flow under pegged
-                # budgets; re-wrap the cached reference instead of
-                # re-running it (deterministic, so numerically identical).
-                ref_job = job.reference_job()
-                assert ref_job is not None  # slack is not None here
-                ref_targets = _reference_targets(design, ctx.tech, None, None)
-                ref_key = _cell_key(ref_job, ctx, ref_targets)
-                reference = store.load(ref_key)
-                if isinstance(reference, FlowResult):
-                    flow, cached = replace(reference, targets=targets), True
-                    store.save(key, flow)
-            if flow is None:
+                record, flow = _load_cell(store, key, need_flow)
+                if record is None and job.policy == Policy.ALL_NDR \
+                        and job.slack is not None:
+                    # An ALL-NDR cell is the reference flow under pegged
+                    # budgets; re-wrap the cached reference instead of
+                    # re-running it (deterministic, so numerically
+                    # identical).
+                    ref_job = job.reference_job()
+                    assert ref_job is not None  # slack is not None here
+                    ref_targets = _reference_targets(design, ctx.tech,
+                                                     None, None)
+                    ref_record, ref_flow = _load_cell(
+                        store, _cell_key(ref_job, ctx, ref_targets),
+                        need_flow)
+                    if ref_record is not None:
+                        record = ref_record.retarget(targets)
+                        if ref_flow is not None:
+                            flow = replace(ref_flow, targets=targets)
+                        _save_cell(store, key, record, flow)
+            cached = record is not None
+            if record is None:
                 # The forwarded-variable seam: REPRO_ENGINE_BACKEND is
                 # read exactly here (whitelisted), once per job, never
                 # again further down the flow.
@@ -202,12 +295,15 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],  # static: ok[C001
                                 engine_backend=(job.engine_backend
                                                 or default_backend_name()),
                                 guide=ctx.guide, store=ctx.store)
+                record = CellRecord.of(flow)
                 if key is not None and store is not None:
-                    store.save(key, flow)
+                    _save_cell(store, key, record, flow)
             diagnostics: list[dict[str, object]] = []
             if ctx.verify:
+                assert flow is not None  # need_flow loaded or computed it
                 diagnostics = _verify_diagnostics(flow, f"runner:{job.label}")
             cell.attrs["cached"] = cached
+            cell.attrs["flow_loaded"] = cached and flow is not None
             tracer.metrics.counter(
                 "runner.cells_cached" if cached
                 else "runner.cells_computed").inc()
@@ -215,10 +311,10 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],  # static: ok[C001
 
     return JobResult(
         job=job,
-        summary=flow.summary(),
-        rule_histogram=dict(flow.rule_histogram),
-        ndr_track_cost=flow.ndr_track_cost,
-        feasible=flow.feasible,
+        summary=dict(record.summary),
+        rule_histogram=dict(record.rule_histogram),
+        ndr_track_cost=record.ndr_track_cost,
+        feasible=record.feasible,
         runtime=time.perf_counter() - start,  # static: ok[D002] feeds JobResult.runtime metadata only
         phases=phases,
         diagnostics=diagnostics,
@@ -309,37 +405,39 @@ class FlowRunner:
             verify = bool(os.environ.get("REPRO_VERIFY_FLOWS"))
         self.verify = verify
         self._ref_metrics: dict[DesignRef, RefMetrics] = {}
+        self._designs: dict[str, Design] = {}
 
     # -- single-cell API ------------------------------------------------------
 
     def _context(self, return_flows: bool) -> _ExecContext:
         return _ExecContext(tech=self.tech, store=self.store,
                             verify=self.verify, guide=self.guide,
-                            return_flows=return_flows)
+                            return_flows=return_flows,
+                            designs=self._designs)
 
     def run_job(self, job: JobSpec, return_flow: bool = True) -> JobResult:
-        """Execute one cell in-process (references resolved as needed)."""
+        """Execute one cell in-process (references resolved as needed).
+
+        The full reference flow itself is
+        ``run_job(job.reference_job(), return_flow=True).flow``.
+        """
         metrics = self._metrics_for(job)
         return _execute_job(job, metrics, self._context(return_flow))
 
-    def reference(self, design: DesignRef) -> FlowResult:
-        """The design's all-NDR reference flow (cached upstream job)."""
-        job = JobSpec(design=design, policy=Policy.ALL_NDR, slack=None)
-        result = _execute_job(job, None, self._context(True))
-        self._ref_metrics.setdefault(
-            design, (result.summary["worst_delta_ps"],
-                     result.summary["skew_3sigma_ps"]))
-        assert result.flow is not None
-        return result.flow
+    def _reference_metrics(self, design: DesignRef) -> RefMetrics:
+        """The design's all-NDR reference metrics (from its cell record)."""
+        metrics = self._ref_metrics.get(design)
+        if metrics is None:
+            job = JobSpec(design=design, policy=Policy.ALL_NDR, slack=None)
+            summary = _execute_job(job, None, self._context(False)).summary
+            metrics = self._ref_metrics[design] = (
+                summary["worst_delta_ps"], summary["skew_3sigma_ps"])
+        return metrics
 
     def targets_for(self, design: DesignRef,
                     slack: float = 0.15) -> RobustnessTargets:
         """Budgets pegged to the design's cached all-NDR reference."""
-        metrics = self._ref_metrics.get(design)
-        if metrics is None:
-            self.reference(design)
-            metrics = self._ref_metrics[design]
-        worst_delta, skew_3sigma = metrics
+        worst_delta, skew_3sigma = self._reference_metrics(design)
         return RobustnessTargets.from_reference(worst_delta=worst_delta,
                                                 skew_3sigma=skew_3sigma,
                                                 max_slew=self.tech.max_slew,
@@ -348,9 +446,7 @@ class FlowRunner:
     def _metrics_for(self, job: JobSpec) -> Optional[RefMetrics]:
         if job.slack is None:
             return None
-        if job.design not in self._ref_metrics:
-            self.reference(job.design)
-        return self._ref_metrics[job.design]
+        return self._reference_metrics(job.design)
 
     # -- matrix API -----------------------------------------------------------
 
@@ -389,7 +485,7 @@ class FlowRunner:
                       workers=n_workers) as matrix_span:
             if n_workers <= 1:
                 for ref in ref_jobs:
-                    self.reference(ref.design)
+                    self._reference_metrics(ref.design)
                 serial: list[JobResult] = []
                 for job in job_list:
                     result = self.run_job(job, return_flow=return_flows)

@@ -218,6 +218,69 @@ def test_engine_trim_path_equals_full_analysis(physical, tech, backend):
     _assert_bundles_match(incremental, fresh)
 
 
+def test_pickled_engine_keeps_frozen_views_live(make_tiny_physical, tech,
+                                                backend):
+    """A stored-and-loaded engine's frozen views still alias its matrices.
+
+    The per-wire and per-stage factor views must share memory with the
+    matrices after a pickle round trip, or a post-load ``refresh_wire``
+    updates what the kernel's Monte Carlo reads while the views (and
+    the frozen-mc-sync oracle reading them) go stale.
+    """
+    import pickle
+
+    from repro.verify import VerifyContext, run_checks
+
+    physical = make_tiny_physical()
+    freq = physical.design.clock_freq
+    targets = _targets(physical, tech)
+    extraction = extract(physical.tree, physical.routing)
+    engine = AnalysisEngine(extraction, physical.tree, tech, freq, targets,
+                            backend=backend)
+    engine.analyze()  # prime every cache, the stacked stage scales too
+    loaded = pickle.loads(pickle.dumps(engine))
+
+    frozen = loaded.frozen
+    for views, matrix in ((frozen.z_rand, frozen._z_rand_mat),
+                          (frozen.area_scale, frozen._area_mat),
+                          (frozen.r_scale, frozen._r_mat)):
+        assert set(views) == set(frozen.wire_row)
+        for wid, row in frozen.wire_row.items():
+            assert np.shares_memory(views[wid], matrix)
+            assert np.array_equal(views[wid], matrix[row])
+    assert len(frozen.buf_scale) == len(frozen._buf_mat)
+    for buf in frozen.buf_scale:
+        assert np.shares_memory(buf, frozen._buf_mat)
+
+    # The same rule change on the original and on the loaded engine.
+    ndr = max(tech.rules, key=lambda r: r.width_mult)
+    wire_ids = _some_clock_wires(physical.routing, 3)
+    for live in (engine, loaded):
+        for wire_id in wire_ids:
+            live.extraction.routing.assign_rule(wire_id, ndr)
+        live.apply_rule_changes(wire_ids)
+    for wire_id in wire_ids:
+        row = frozen.wire_row[wire_id]
+        assert np.array_equal(frozen.area_scale[wire_id],
+                              frozen.area_matrix()[row])
+        assert np.array_equal(frozen.area_scale[wire_id],
+                              engine.frozen.area_scale[wire_id])
+
+    mc = loaded.analyze().mc
+    assert np.array_equal(mc.skew_samples, engine.analyze().mc.skew_samples)
+    fresh = AnalysisEngine(loaded.extraction, loaded.tree, tech, freq,
+                           targets, backend=backend).analyze().mc
+    assert mc.skew_3sigma == pytest.approx(fresh.skew_3sigma, abs=ATOL)
+    np.testing.assert_allclose(mc.skew_samples, fresh.skew_samples,
+                               rtol=0.0, atol=ATOL)
+
+    ctx = VerifyContext(tech=tech, tree=loaded.tree,
+                        routing=loaded.extraction.routing,
+                        extraction=loaded.extraction, engine=loaded)
+    report = run_checks(ctx, rules=["frozen-mc-sync"])
+    assert not report.diagnostics, report.render()
+
+
 def test_optimizer_engine_matches_legacy_run(make_small_physical, tech):
     """Every engine backend makes the legacy run's decisions end to end."""
     results = {}

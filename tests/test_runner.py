@@ -206,3 +206,208 @@ def test_pool_initializer_forwards_verify_env(tech, monkeypatch):
     else:
         os.environ["REPRO_ENGINE_BACKEND"] = previous_backend
     monkeypatch.setenv("REPRO_VERIFY_FLOWS", "1")  # restore for the suite
+
+
+# -- cell records: warm cells without whole flows ------------------------------
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Types of everything ``ArtifactStore.load`` returns, in order."""
+    from repro.io.artifacts import ArtifactStore
+
+    seen: list[str] = []
+    original = ArtifactStore.load
+
+    def spy(self, key):
+        obj = original(self, key)
+        seen.append(type(obj).__name__)
+        return obj
+
+    monkeypatch.setattr(ArtifactStore, "load", spy)
+    return seen
+
+
+@pytest.fixture
+def unverified(monkeypatch):
+    """No flow verification, so record-only callers stay record-only."""
+    monkeypatch.delenv("REPRO_VERIFY_FLOWS", raising=False)
+
+
+def _timeless(report):
+    """A report with its cells' cache flags and runtimes dropped."""
+    from dataclasses import replace
+
+    from repro.api import CellReport, CompareReport
+
+    if isinstance(report, CompareReport):
+        return replace(report, cells=tuple(_timeless(c)
+                                           for c in report.cells))
+    if isinstance(report, CellReport):
+        return replace(report, cached=False, runtime_s=0.0)
+    return report  # a sweep reports neither
+
+
+def test_warm_api_calls_read_records_only(tiny_ref, tmp_path, unverified,
+                                          loads):
+    from repro import api
+
+    store = str(tmp_path / "artifacts")
+    calls = [(api.compare, api.CompareRequest(design=tiny_ref, slack=0.15)),
+             (api.sweep, api.SweepRequest(design=tiny_ref,
+                                          slacks=(0.6, 0.15))),
+             (api.run, api.FlowRequest(design=tiny_ref, policy="smart",
+                                       slack=0.3))]
+    cold = [call(request, store=store) for call, request in calls]
+    assert "FlowResult" not in loads  # even a cold ALL-NDR cell re-wraps
+    loads.clear()
+    warm = [call(request, store=store) for call, request in calls]
+    assert loads and set(loads) == {"CellRecord"}
+    assert all(c.cached for c in warm[0].cells) and warm[2].cached
+    assert [_timeless(w) for w in warm] == [_timeless(c) for c in cold]
+
+
+def test_all_ndr_record_rewrap_matches_direct_run(tiny_ref, tmp_path,
+                                                  unverified, loads):
+    """Re-judging the reference record equals running the pegged flow."""
+    runner = _runner(tmp_path)
+    for slack in (0.0, 0.15):
+        result = runner.run([JobSpec(design=tiny_ref, policy=Policy.ALL_NDR,
+                                     slack=slack)])[0]
+        assert result.cached and result.flow is None
+        direct = run_flow(resolve_design(tiny_ref), policy=Policy.ALL_NDR,
+                          targets=runner.targets_for(tiny_ref, slack=slack))
+        assert result.summary == direct.summary()
+        assert result.feasible == direct.feasible
+    assert "FlowResult" not in loads
+
+
+def test_cell_record_retarget_judges_like_the_flow(tiny_design):
+    from dataclasses import replace
+
+    from repro.core.targets import RobustnessTargets
+    from repro.runner.runner import CellRecord
+
+    flow = run_flow(tiny_design, policy=Policy.ALL_NDR)
+    record = CellRecord.of(flow)
+    loose = RobustnessTargets(max_worst_delta=1e6, max_skew_3sigma=1e6,
+                              max_slew=1e6, max_em_util=1e6)
+    budgets = [loose] + [replace(loose, **{name: 1e-6}) for name in (
+        "max_worst_delta", "max_skew_3sigma", "max_slew", "max_em_util")]
+    verdicts = []
+    for targets in budgets:
+        rewrapped = replace(flow, targets=targets)
+        judged = record.retarget(targets)
+        assert judged.summary == rewrapped.summary()
+        assert judged.feasible == rewrapped.feasible
+        verdicts.append(judged.feasible)
+    assert verdicts == [True, False, False, False, False]
+
+
+def test_warm_flow_callers_get_flows_matching_records(tiny_ref, tmp_path,
+                                                      unverified):
+    from repro.verify import VerifyContext, run_checks
+
+    store = str(tmp_path / "artifacts")
+    jobs = [JobSpec(design=tiny_ref, policy=p) for p in POLICIES]
+    cold = FlowRunner(store=store, verify=True).run(jobs)
+    warm_flows = FlowRunner(store=store, verify=False).run(
+        jobs, return_flows=True)
+    warm_verified = FlowRunner(store=store, verify=True).run(jobs)
+    for c, f, v in zip(cold, warm_flows, warm_verified):
+        assert f.cached and v.cached
+        assert f.flow is not None and v.flow is None
+        assert f.flow.summary() == f.summary == c.summary  # bit for bit
+        assert f.flow.rule_histogram == f.rule_histogram
+        assert v.summary == c.summary
+        assert v.diagnostics == c.diagnostics
+    smart = warm_flows[POLICIES.index(Policy.SMART)].flow
+    assert smart.optimize is not None and smart.optimize.engine is not None
+    # The loaded engine is what the oracle inspects, and it is coherent.
+    report = run_checks(VerifyContext.from_flow(smart), kinds=["oracle"])
+    assert not report.has_errors, report.render()
+
+
+def _saved_keys(monkeypatch) -> dict[str, list[tuple[str, object]]]:
+    """Keys ``ArtifactStore.save`` writes, by stored type name."""
+    from repro.io.artifacts import ArtifactStore
+
+    saved: dict[str, list[tuple[str, object]]] = {}
+    original = ArtifactStore.save
+
+    def spy(self, key, obj):
+        saved.setdefault(type(obj).__name__, []).append((key, obj))
+        original(self, key, obj)
+
+    monkeypatch.setattr(ArtifactStore, "save", spy)
+    return saved
+
+
+def test_missing_flow_and_corrupt_record(tiny_ref, tmp_path, unverified,
+                                         monkeypatch):
+    from repro.io.artifacts import ArtifactStore
+
+    root = tmp_path / "artifacts"
+    job = JobSpec(design=tiny_ref, policy=Policy.SMART)
+    saved = _saved_keys(monkeypatch)
+    cold = FlowRunner(store=str(root)).run_job(job, return_flow=False)
+    (flow_key, _), = [(k, f) for k, f in saved["FlowResult"]
+                      if f.policy == Policy.SMART]
+    (record_key, _), = [(k, r) for k, r in saved["CellRecord"]
+                        if r.summary == cold.summary]
+    store = ArtifactStore(root)
+    store.path_for(flow_key).unlink()
+
+    # Record-only callers never needed the flow.
+    served = FlowRunner(store=str(root)).run_job(job, return_flow=False)
+    assert served.cached and served.summary == cold.summary
+    # A flow caller recomputes, and re-saves both artifacts.
+    saved.clear()
+    rebuilt = FlowRunner(store=str(root)).run_job(job, return_flow=True)
+    assert not rebuilt.cached and rebuilt.flow is not None
+    assert rebuilt.flow.summary() == rebuilt.summary == cold.summary
+    assert flow_key in [k for k, _ in saved["FlowResult"]]
+    assert record_key in [k for k, _ in saved["CellRecord"]]
+    again = FlowRunner(store=str(root)).run_job(job, return_flow=True)
+    assert again.cached and again.flow.summary() == cold.summary
+
+    # A corrupt record is a miss: the cell recomputes.
+    store.path_for(record_key).write_bytes(b"\x80\x05 not a pickle")
+    healed = FlowRunner(store=str(root)).run_job(job, return_flow=False)
+    assert not healed.cached and healed.summary == cold.summary
+
+
+def test_designs_resolve_once_per_content(tiny_ref, tmp_path, unverified,
+                                          monkeypatch):
+    import json
+    import shutil
+
+    from repro import api
+    from repro.runner import runner as runner_mod
+
+    resolved: list[str] = []
+    original = runner_mod.resolve_design
+
+    def spy(ref):
+        resolved.append(ref)
+        return original(ref)
+
+    monkeypatch.setattr(runner_mod, "resolve_design", spy)
+    path = tmp_path / "design.json"
+    shutil.copy(tiny_ref, path)
+    store = str(tmp_path / "artifacts")
+    api.compare(api.CompareRequest(design=str(path)), store=store)
+    assert resolved == [str(path)]
+
+    runner = FlowRunner(store=store)
+    matrix = matrix_of(str(path), POLICIES, 0.15)
+    first = runner.run(matrix)
+    runner.run(matrix)
+    assert len(resolved) == 2  # once for the new runner, then memoized
+    # Rewriting the file changes its content fingerprint: resolve anew.
+    data = json.loads(path.read_text())
+    data["name"] = "renamed"
+    path.write_text(json.dumps(data))
+    renamed = runner.run(matrix)
+    assert len(resolved) == 3
+    assert [r.summary for r in renamed] == [r.summary for r in first]
