@@ -75,7 +75,7 @@ def test_fig6_optimizer_inner_loop_speedup(capsys, matrix):
         opt = SmartNdrOptimizer(phys.tree, phys.routing, matrix.tech,
                                 targets, freq, use_engine=use_engine)
         start = time.perf_counter()
-        result = opt.run()
+        result = opt.run(phys.extraction)
         return time.perf_counter() - start, result
 
     before_s, legacy = timed_run(use_engine=False)

@@ -85,7 +85,7 @@ def _child_main(pickle_path: str, backend_name: str) -> None:
     opt = SmartNdrOptimizer(physical.tree, physical.routing, tech,
                             targets, freq, max_iterations=1,
                             use_engine=backend_name)
-    opt.run()
+    opt.run(physical.extraction)
     opt_iter_s = time.perf_counter() - t0
 
     json.dump({

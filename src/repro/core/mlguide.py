@@ -64,7 +64,7 @@ def collect_teacher_samples(design: Design, tech: Technology,
     wire_ids, X = wire_feature_matrix(tree, extraction, em)
 
     optimizer = SmartNdrOptimizer(tree, routing, tech, targets, freq)
-    optimizer.run()
+    optimizer.run(extraction)
     label_of = {name: i for i, name in enumerate(RULE_CLASSES)}
     y = np.array([label_of[routing.tracks.wire(wid).rule.name.value]
                   for wid in wire_ids], dtype=int)
@@ -187,7 +187,7 @@ class NdrClassifierGuide:
 
         repair = SmartNdrOptimizer(tree, routing, tech, targets, freq,
                                    max_iterations=repair_iterations)
-        result = repair.run()
+        result = repair.run(extract(tree, routing))
         # Merge the ML-stamped upgrades with the repairs (repair entries
         # win: they are the final state of those wires).
         merged = dict(upgraded)

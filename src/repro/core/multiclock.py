@@ -184,7 +184,7 @@ def run_multiclock_flow(design: Design, domains: list[ClockDomain],
     freq = design.clock_freq
     for domain, tree, routing in zip(domains, trees, routings):
         domain_targets = targets_of[domain.name]
-        refine_skew(tree, routing, tech)
+        refine = refine_skew(tree, routing, tech)
         optimize: Optional[OptimizeResult] = None
         if policy in (Policy.NO_NDR, Policy.ALL_NDR, Policy.WIDTH_ONLY,
                       Policy.SPACE_ONLY):
@@ -195,7 +195,7 @@ def run_multiclock_flow(design: Design, domains: list[ClockDomain],
             optimizer = SmartNdrOptimizer(tree, routing, tech,
                                           domain_targets, freq,
                                           lambda_track=lambda_track)
-            optimize = optimizer.run()
+            optimize = optimizer.run(refine.extraction)
         refine = refine_skew(tree, routing, tech)
         analyses = analyze_all(refine.extraction, tech, freq,
                                domain_targets)

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Union
 
-from repro import obs, perf
+from repro import obs
 from repro.core.evaluation import AnalysisBundle, analyze_all
 from repro.core.features import WireContext, wire_contexts
 from repro.core.sensitivity import (RuleSensitivity, SensitivityCache,
@@ -41,7 +41,7 @@ from repro.core.sensitivity import (RuleSensitivity, SensitivityCache,
 from repro.core.targets import RobustnessTargets
 from repro.cts.refine import refine_skew
 from repro.cts.tree import ClockTree
-from repro.extract.extractor import Extraction, extract
+from repro.extract.extractor import Extraction
 from repro.reliability.em import DEFAULT_EM_FACTOR
 from repro.route.router import RoutingResult
 from repro.tech.ndr import RoutingRule
@@ -115,12 +115,17 @@ class SmartNdrOptimizer:
 
     # -- public ----------------------------------------------------------------
 
-    def run(self) -> OptimizeResult:
-        """Assign rules in place on the routing; returns the final state."""
+    def run(self, extraction: Extraction) -> OptimizeResult:
+        """Assign rules in place on the routing; returns the final state.
+
+        ``extraction`` is the current extraction of the routing (the
+        build's, or a refine's): the optimizer starts from it instead of
+        re-extracting, and updates it in place as rules change.
+        """
+        if extraction.routing is not self.routing:
+            raise ValueError("extraction is not of the optimizer's routing")
         start = time.perf_counter()  # static: ok[D002] feeds OptimizeResult.runtime metadata only
         upgraded: dict[int, str] = {}
-        with perf.phase("opt.extract"):
-            extraction = extract(self.tree, self.routing)
         engine = None
         if self.use_engine:
             # Imported lazily: repro.engine pulls repro.core.evaluation
@@ -131,7 +136,7 @@ class SmartNdrOptimizer:
                                     backend=self.use_engine)
             self._sens_cache = SensitivityCache(self.routing,
                                                self.tech.rules)
-        with perf.phase("opt.analyze"):
+        with obs.span("opt.analyze"):
             analyses = analyze_all(extraction, self.tech, self.freq,
                                    self.targets, engine=engine)
         iterations = 0
@@ -155,7 +160,7 @@ class SmartNdrOptimizer:
             iterations += 1
             obs.counter("opt.iterations").inc()
             plan: dict[int, Move] = {}
-            with perf.phase("opt.plan"):
+            with obs.span("opt.plan"):
                 contexts = wire_contexts(self.tree, extraction)
                 if "em" in violations:
                     self._plan_em(analyses, contexts, plan)
@@ -178,13 +183,13 @@ class SmartNdrOptimizer:
             # Rule changes shift stage delays and unbalance the tree;
             # re-trim before judging, or the Monte-Carlo skew conflates
             # nominal imbalance with variation.
-            with perf.phase("opt.extract"):
+            with obs.span("opt.extract"):
                 if engine is not None:
                     engine.apply_rule_changes(plan)
-            with perf.phase("opt.refine"):
+            with obs.span("opt.refine"):
                 extraction = refine_skew(self.tree, self.routing, self.tech,
                                          engine=engine).extraction
-            with perf.phase("opt.analyze"):
+            with obs.span("opt.analyze"):
                 analyses = analyze_all(extraction, self.tech, self.freq,
                                        self.targets, engine=engine)
             if self.verify_every and iterations % self.verify_every == 0:

@@ -20,8 +20,8 @@ stages, each consuming and producing serializable artifacts:
 ``analyze``
     The full robustness/power analysis bundle of the final extraction.
 
-Each stage reports into :mod:`repro.perf` under ``flow.<stage>`` so a
-profiled run shows the pipeline breakdown per cell.
+Each stage opens a ``flow.<stage>`` span (:mod:`repro.obs`), so a
+traced run shows the pipeline breakdown per cell.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro import perf
+from repro import obs
 from repro.core.evaluation import AnalysisBundle, analyze_all
 from repro.core.optimizer import OptimizeResult, SmartNdrOptimizer
 from repro.core.policies import (Policy, apply_random_policy,
@@ -111,7 +111,7 @@ def build_stage(design: Design, tech: Technology,
         if cached is not None and isinstance(cached, PhysicalDesign):
             return cached
 
-    with perf.phase("flow.build"):
+    with obs.span("flow.build"):
         cts = synthesize_clock_tree(design, tech,
                                     max_stage_cap=params.max_stage_cap)
         routing = Router(design, tech).route(cts.tree)
@@ -131,7 +131,7 @@ def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
     freq = physical.design.clock_freq
     policy = params.policy
 
-    with perf.phase("flow.policy"):
+    with obs.span("flow.policy"):
         if policy in (Policy.NO_NDR, Policy.ALL_NDR, Policy.WIDTH_ONLY,
                       Policy.SPACE_ONLY):
             apply_uniform_policy(routing, policy)
@@ -147,8 +147,8 @@ def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
                 use_shielding=(policy == Policy.SMART_SHIELD),
                 use_engine=params.engine_backend or True,
                 verify_every=params.verify_every)
-            with perf.phase("flow.optimize"):
-                return optimizer.run()
+            with obs.span("flow.optimize"):
+                return optimizer.run(physical.extraction)
         if policy == Policy.SMART_ML:
             if guide is None:
                 raise ValueError("Policy.SMART_ML requires a fitted guide")
@@ -163,7 +163,7 @@ def retrim_stage(physical: "PhysicalDesign", engine=None) -> None:
     routing), the trim rebuilds only the touched stages instead of
     re-extracting the whole network.
     """
-    with perf.phase("flow.retrim"):
+    with obs.span("flow.retrim"):
         physical.refine = refine_skew(physical.tree, physical.routing,
                                       physical.tech, engine=engine)
 
@@ -171,7 +171,7 @@ def retrim_stage(physical: "PhysicalDesign", engine=None) -> None:
 def analyze_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
                   engine=None) -> AnalysisBundle:
     """Full analysis bundle of the (re-trimmed) extraction."""
-    with perf.phase("flow.analyze"):
+    with obs.span("flow.analyze"):
         return analyze_all(physical.extraction, physical.tech,
                            physical.design.clock_freq, targets,
                            engine=engine)

@@ -29,6 +29,14 @@ upward.  A slew guard caps each stage's trim so the *sink* transition
 
 The added capacitance is real power cost (it lands in the power report
 as delay-trim capacitance) — skew trimming is never free.
+
+Each refine extracts its routing once.  Wire parasitics read only the
+routing (a wire's own geometry and rule plus its track neighbors'),
+and a trim writes only the tree (root pads and snakes), so after a
+trim pass only the RC network is stale: an engine-free refine
+rebuilds the network over the parasitics it already has, and a refine
+driven by an :class:`~repro.engine.AnalysisEngine` rebuilds only the
+trimmed stages.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from dataclasses import dataclass
 from repro.cts.delaytrim import TrimChoice, cheapest_trim
 from repro.cts.tree import ClockTree
 from repro.extract.extractor import Extraction, extract
+from repro.extract.rcnetwork import build_rc_network
 from repro.route.router import RoutingResult
 from repro.tech.technology import Technology
 from repro.timing.arrival import ClockTiming, analyze_clock_timing
@@ -70,10 +79,13 @@ def refine_skew(tree: ClockTree, routing: RoutingResult, tech: Technology,
     base.  ``final_skew``/``initial_skew`` are reported in the corrected
     frame when offsets are given.
 
+    Without ``engine``, the routing is extracted once and each trim
+    pass rebuilds only the RC network over those wire parasitics —
+    exactly what a fresh :func:`~repro.extract.extract` would return,
+    because a trim writes the tree and parasitics read the routing.
     With ``engine`` (an :class:`~repro.engine.AnalysisEngine` over the
     current routing), each trim pass rebuilds only the touched stages
-    instead of re-extracting the whole network — a trim moves nothing
-    but its own stage's root pad/snake.
+    — a trim moves nothing but its own stage's root pad/snake.
 
     Returns the final extraction and timing so callers don't re-analyze.
     """
@@ -115,7 +127,8 @@ def refine_skew(tree: ClockTree, routing: RoutingResult, tech: Technology,
         if not touched:
             break
         if engine is None:
-            extraction = extract(tree, routing)
+            extraction.network = build_rc_network(tree, routing,
+                                                  extraction.wires)
             timing = analyze_clock_timing(extraction.network, tech)
         else:
             engine.rebuild_stages(touched)

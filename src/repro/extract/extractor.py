@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Annotated, Iterable, Optional
 
+from repro import obs
 from repro.cts.tree import ClockTree
 from repro.extract.capmodel import WireParasitics, extract_wire
 from repro.extract.rcnetwork import ClockRcNetwork, build_rc_network
@@ -128,10 +129,12 @@ def extract(tree: ClockTree, routing: RoutingResult) -> Extraction:
     aggressors, which the clock-side extraction already captures), which
     keeps extraction proportional to the clock, not the design.
     """
-    result = Extraction(routing=routing)
-    for wire in routing.clock_wires:
-        _extract_one(result, wire)
-    result.network = build_rc_network(tree, routing, result.wires)
+    wires = routing.clock_wires
+    with obs.span("extract.full", wires=len(wires)):
+        result = Extraction(routing=routing)
+        for wire in wires:
+            _extract_one(result, wire)
+        result.network = build_rc_network(tree, routing, result.wires)
     return result
 
 

@@ -189,11 +189,17 @@ def design_fingerprint(design: Any) -> str:
     computes from, so two designs differing only in name share every
     cached artifact (the same decoupling
     :func:`repro.designs.spec_fingerprint` applies at the spec level).
+
+    The :func:`~repro.io.design_json.design_to_dict` payload is already
+    JSON-native, which :func:`_canonical` would return unchanged, so it
+    is hashed directly: the digest equals ``fingerprint(payload)``.
     """
     from repro.io.design_json import design_to_dict
     payload = design_to_dict(design)
     payload.pop("name", None)
-    return fingerprint(payload)
+    blob = json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 def technology_fingerprint(tech: Any) -> str:

@@ -118,30 +118,49 @@ class TrackManager:
         track that has any overlap and ignoring farther tracks once the
         accumulated overlap covers the wire (standard first-neighbor
         approximation).
+
+        This is the extractor's inner loop, so everything that does not
+        change from one probed track to the next is read once.  The
+        float expressions are the grid's (``track_distance``,
+        ``edge_spacing``), evaluated in the same order.
         """
         layer = wire.layer
-        result: list[NeighborCoupling] = []
+        lname = layer.name
+        pitch = layer.pitch
+        reach = layer.coupling_reach
+        min_spacing = layer.min_spacing
+        n_tracks = self.grid.num_tracks(layer)
+        tracks = self._tracks
+        wires = self._wires
+        origin = wire.track
+        width = wire.width
+        half_width = width / 2.0
+        seg_lo = wire.segment.lo
+        seg_hi = wire.segment.hi
+        length = wire.length
+        net_name = wire.net_name
         guaranteed = wire.guaranteed_spacing()
+        result: list[NeighborCoupling] = []
         for direction in (-1, +1):
             covered = 0.0
             for step in range(1, max_tracks + 1):
-                track = wire.track + direction * step
-                if track < 0 or track >= self.grid.num_tracks(layer):
+                track = origin + direction * step
+                if track < 0 or track >= n_tracks:
                     break
-                distance = self.grid.track_distance(layer, wire.track, track)
-                if distance - wire.width / 2.0 > layer.coupling_reach:
+                distance = step * pitch
+                if distance - half_width > reach:
                     break
-                intervals = self._tracks.get((layer.name, track), [])
-                for iv in intervals:
-                    overlap = min(iv.hi, wire.segment.hi) - max(iv.lo, wire.segment.lo)
+                for iv in tracks.get((lname, track), ()):
+                    if iv.lo >= seg_hi:
+                        break  # lo-sorted: no later interval overlaps
+                    overlap = min(iv.hi, seg_hi) - max(iv.lo, seg_lo)
                     if overlap <= 0.0:
                         continue
-                    other = self._wires[iv.wire_id]
-                    spacing = self.grid.edge_spacing(
-                        layer, wire.track, wire.width, track, other.width)
+                    other = wires[iv.wire_id]
+                    spacing = distance - (width + other.width) / 2.0
                     # DRC floors: the layer minimum always holds, and
                     # either wire's rule guarantee pushes neighbors out.
-                    spacing = max(spacing, layer.min_spacing,
+                    spacing = max(spacing, min_spacing,
                                   guaranteed, other.guaranteed_spacing())
                     result.append(NeighborCoupling(
                         neighbor_id=other.wire_id,
@@ -149,11 +168,11 @@ class TrackManager:
                         overlap=overlap,
                         neighbor_kind=other.kind,
                         neighbor_activity=other.activity,
-                        same_net=(other.net_name == wire.net_name),
+                        same_net=(other.net_name == net_name),
                         neighbor_window=other.window,
                     ))
                     covered += overlap
-                if covered >= wire.length:
+                if covered >= length:
                     break  # fully shielded on this side
         return result
 

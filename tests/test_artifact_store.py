@@ -44,6 +44,24 @@ def test_design_fingerprint_tracks_content(tiny_design, small_design):
     assert design_fingerprint(tiny_design) != design_fingerprint(small_design)
 
 
+def test_design_fingerprint_hashes_its_canonical_payload():
+    """The direct hash keeps every build cache key: it equals
+    ``fingerprint`` of the name-less payload over the corpus."""
+    from repro.designs import iter_specs
+    from repro.io.design_json import design_to_dict
+
+    checked = 0
+    for spec in iter_specs():
+        if spec.n_sinks > 2048:
+            continue
+        design = generate_design(spec)
+        payload = design_to_dict(design)
+        payload.pop("name")
+        assert design_fingerprint(design) == fingerprint(payload), spec.name
+        checked += 1
+    assert checked >= 10
+
+
 def test_content_key_varies_with_tech_and_params(tiny_design, tech):
     base = _build_key(tiny_design, tech)
     assert base == _build_key(tiny_design, tech)

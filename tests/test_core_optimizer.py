@@ -29,7 +29,7 @@ def optimized(small_spec, reference_targets, tech):
     phys = build_physical_design(generate_design(small_spec), tech)
     optimizer = SmartNdrOptimizer(phys.tree, phys.routing, tech,
                                   reference_targets, phys.design.clock_freq)
-    result = optimizer.run()
+    result = optimizer.run(phys.extraction)
     return phys, result
 
 
@@ -79,7 +79,7 @@ def test_already_feasible_means_no_upgrades(small_spec, tech):
     loose = RobustnessTargets(max_worst_delta=1e6, max_skew_3sigma=1e6,
                               max_slew=1e6, max_em_util=1e6)
     result = SmartNdrOptimizer(phys.tree, phys.routing, tech, loose,
-                               phys.design.clock_freq).run()
+                               phys.design.clock_freq).run(phys.extraction)
     assert result.feasible
     assert result.num_upgraded == 0
     assert result.iterations == 0
@@ -136,3 +136,49 @@ def test_sink_dd_decomposition_sums_to_worst(small_physical):
 def test_sink_dd_unknown_pin(small_physical):
     with pytest.raises(KeyError):
         _sink_dd_by_wire(small_physical.extraction, "ghost/CK")
+
+
+def _analysis_bits(analyses):
+    return (analyses.power.p_total.hex(), analyses.power.total_cap.hex(),
+            analyses.timing.skew.hex(), analyses.timing.latency.hex(),
+            analyses.timing.worst_slew.hex(),
+            analyses.crosstalk.worst_delta.hex(),
+            analyses.mc.skew_3sigma.hex(), analyses.em.num_violations,
+            analyses.em.worst_utilization.hex())
+
+
+def test_starting_from_build_extraction_matches_fresh(small_spec,
+                                                      reference_targets,
+                                                      tech):
+    """The build's extraction is the routing's current extraction: a run
+    started from it decides and measures exactly like one started from
+    a fresh extract()."""
+    from repro.extract import extract
+
+    runs = []
+    for fresh in (False, True):
+        phys = build_physical_design(generate_design(small_spec), tech)
+        start = (extract(phys.tree, phys.routing) if fresh
+                 else phys.extraction)
+        result = SmartNdrOptimizer(phys.tree, phys.routing, tech,
+                                   reference_targets,
+                                   phys.design.clock_freq).run(start)
+        runs.append(result)
+    built, fresh = runs
+    assert built.upgraded and built.iterations >= 1
+    assert built.upgraded == fresh.upgraded
+    assert built.iterations == fresh.iterations
+    assert built.downgraded == fresh.downgraded
+    assert built.feasible == fresh.feasible
+    assert _analysis_bits(built.analyses) == _analysis_bits(fresh.analyses)
+
+
+def test_run_rejects_extraction_of_another_routing(small_spec, tech):
+    phys = build_physical_design(generate_design(small_spec), tech)
+    other = build_physical_design(generate_design(small_spec), tech)
+    opt = SmartNdrOptimizer(phys.tree, phys.routing, tech,
+                            RobustnessTargets.for_period(
+                                phys.design.clock_period, tech.max_slew),
+                            phys.design.clock_freq)
+    with pytest.raises(ValueError):
+        opt.run(other.extraction)

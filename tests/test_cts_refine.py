@@ -64,3 +64,49 @@ def test_loose_target_is_noop(make_small_physical, tech):
     result = refine_skew(phys.tree, phys.routing, tech, target_skew=1e9)
     assert result.iterations == 0
     assert result.added_pad_cap == 0.0
+
+
+def _network_view(network):
+    """Every number and link of an RC network, in stage order."""
+    stages = []
+    for stage in network.stages:
+        nodes = [(n.idx, n.parent, n.wire_id, n.r, n.cap_fixed,
+                  list(n.cap_wire), n.tree_node_id) for n in stage.nodes]
+        sinks = [(s.node_idx,
+                  s.sink_pin.full_name if s.sink_pin is not None else None,
+                  s.next_stage_tree_id) for s in stage.sinks]
+        stages.append((stage.tree_node_id, stage.driver.name,
+                       stage.pad_cap, stage.snake_cap, nodes, sinks))
+    return network.root_stage, dict(network.stage_of_tree_node), stages
+
+
+def test_engine_free_refine_extracts_once(make_small_physical, tech,
+                                          monkeypatch):
+    """Trim passes rebuild only the network over one extraction.
+
+    Wire parasitics read only the routing and a trim writes only the
+    tree, so the refined extraction must equal a fresh extraction of
+    the trimmed tree float for float.
+    """
+    import repro.cts.refine as refine_module
+    from repro.extract import extract
+
+    phys = make_small_physical()
+    calls = []
+
+    def counting_extract(tree, routing):
+        calls.append(routing)
+        return extract(tree, routing)
+
+    monkeypatch.setattr(refine_module, "extract", counting_extract)
+    result = refine_skew(phys.tree, phys.routing, tech, damping=0.5)
+    assert result.iterations >= 2
+    assert len(calls) == 1
+
+    fresh = extract(phys.tree, phys.routing)
+    assert list(result.extraction.wires.items()) == \
+        list(fresh.wires.items())
+    assert _network_view(result.extraction.network) == \
+        _network_view(fresh.network)
+    assert result.final_skew == \
+        analyze_clock_timing(fresh.network, tech).skew

@@ -290,7 +290,7 @@ def test_optimizer_engine_matches_legacy_run(make_small_physical, tech):
         opt = SmartNdrOptimizer(phys.tree, phys.routing, tech, targets,
                                 phys.design.clock_freq,
                                 use_engine=use_engine)
-        results[use_engine] = opt.run()
+        results[use_engine] = opt.run(phys.extraction)
     legacy = results[False]
     assert legacy.engine is None
     for name in ("numpy-dense", "numpy-sparse"):

@@ -269,6 +269,38 @@ def test_traced_runner_counts_each_cell_exactly_once(tiny_ref):
     assert totals["flow.policy"]["calls"] == expect
 
 
+def _ancestors(tracer, record) -> list[str]:
+    by_id = {r.span_id: r for r in tracer.records}
+    names = []
+    while record.parent_id is not None:
+        record = by_id[record.parent_id]
+        names.append(record.name)
+    return names
+
+
+def test_full_extractions_show_where_they_run(tiny_design, tech):
+    """A smart flow extracts once, in the build: the optimizer starts
+    from the build's extraction and its engine drives the retrim."""
+    from repro.core.flow import run_flow
+
+    tracer = obs.enable("extract")
+    flow = run_flow(tiny_design, tech, policy=Policy.SMART)
+    full = [r for r in tracer.records if r.name == "extract.full"]
+    assert len(full) == 1
+    assert "flow.build" in _ancestors(tracer, full[0])
+    assert full[0].attrs == {
+        "wires": len(flow.physical.routing.clock_wires)}
+    obs.disable()
+
+    # Without an engine the retrim extracts once more (and only once).
+    tracer = obs.enable("extract-baseline")
+    run_flow(tiny_design, tech, policy=Policy.ALL_NDR)
+    parents = [_ancestors(tracer, r) for r in tracer.records
+               if r.name == "extract.full"]
+    assert len(parents) == 2
+    assert "flow.build" in parents[0] and "flow.retrim" in parents[1]
+
+
 def test_cached_rerun_metrics_report_cache_hits(tmp_path, tiny_ref):
     """Warm rerun: every cell served from the store, and the metric
     registry says so (cells_cached + artifact hits, no computes)."""

@@ -350,7 +350,8 @@ def test_optimizer_verify_every_runs_clean(make_tiny_physical, tech):
                                            tech.max_slew)
     opt = SmartNdrOptimizer(physical.tree, physical.routing, tech,
                             targets, design.clock_freq, verify_every=1)
-    result = opt.run()  # oracle runs every iteration; must not raise
+    # The oracle runs every iteration; must not raise.
+    result = opt.run(physical.extraction)
     assert result.engine is not None
 
 
