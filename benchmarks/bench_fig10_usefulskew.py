@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import emit
-from repro.bench import generate_design, spec_by_name
+from repro.designs import generate_design, spec_by_name
 from repro.core import Policy, run_flow
 from repro.cts.refine import refine_skew
 from repro.cts.usefulskew import (TimingPath, apply_useful_skew,

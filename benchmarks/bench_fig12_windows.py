@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 
 from conftest import emit
-from repro.bench import generate_design, spec_by_name
+from repro.designs import generate_design, spec_by_name
 from repro.core.flow import build_physical_design
 from repro.reporting import ExperimentRecord
 from repro.timing.arrival import analyze_clock_timing

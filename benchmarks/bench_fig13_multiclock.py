@@ -12,7 +12,7 @@ combined story matches the single-clock headline.
 from __future__ import annotations
 
 from conftest import emit
-from repro.bench import generate_design, spec_by_name
+from repro.designs import generate_design, spec_by_name
 from repro.core import Policy
 from repro.core.multiclock import run_multiclock_flow, split_domains
 from repro.reporting import Table

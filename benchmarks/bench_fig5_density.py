@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 
 from conftest import emit
-from repro.bench import generate_design, spec_by_name
+from repro.designs import generate_design, spec_by_name
 from repro.core import Policy, run_flow, targets_from_reference
 from repro.reporting import ExperimentRecord
 

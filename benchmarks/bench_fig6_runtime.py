@@ -29,7 +29,7 @@ def _collect(matrix) -> ExperimentRecord:
     record = ExperimentRecord(
         "fig6", "flow runtime vs design size",
         "sinks", "runtime (s)")
-    from repro.bench import spec_by_name
+    from repro.designs import spec_by_name
 
     for name in DESIGNS:
         sinks = spec_by_name(name).n_sinks
@@ -61,7 +61,7 @@ def test_fig6_optimizer_inner_loop_speedup(capsys, matrix):
     identical decisions; only the wall time may differ.  The before /
     after pair is recorded in ``BENCH_opt_runtime.json``.
     """
-    from repro.bench import generate_design, spec_by_name
+    from repro.designs import generate_design, spec_by_name
     from repro.core.flow import build_physical_design
     from repro.core.optimizer import SmartNdrOptimizer
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import ML_TRAIN_DESIGNS, emit
-from repro.bench import generate_design, spec_by_name
+from repro.designs import generate_design, spec_by_name
 from repro.core import Policy
 from repro.core.mlguide import RULE_CLASSES
 from repro.ml.metrics import accuracy, precision, recall

@@ -106,16 +106,10 @@ def pytest_addoption(parser):
         help="record an obs trace of the bench session; print the phase "
              "breakdown and write trace JSONL to PATH (bare --bench-trace "
              "skips the file)")
-    parser.addoption(
-        "--profile-phases", action="store_true", default=False,
-        help="deprecated alias for bare --bench-trace")
 
 
 def _trace_opt(config) -> Optional[str]:
-    trace = config.getoption("--bench-trace")
-    if trace is None and config.getoption("--profile-phases"):
-        trace = ""
-    return trace
+    return config.getoption("--bench-trace")
 
 
 def pytest_configure(config):

@@ -9,7 +9,7 @@ Usage::
     python examples/quickstart.py
 """
 
-from repro.api import compare
+from repro.api import CompareRequest, compare
 from repro.reporting import Table
 
 DESIGN = "ckt256"
@@ -19,7 +19,7 @@ def main() -> None:
     # Budgets pegged to the all-NDR reference: "as robust as all-NDR,
     # within 15%" — the paper's operational spec.  compare() schedules
     # the reference as a shared upstream job.
-    report = compare(DESIGN, slack=0.15)
+    report = compare(CompareRequest(design=DESIGN, slack=0.15))
 
     table = Table(
         "Clock power and robustness per routing policy",

@@ -13,9 +13,9 @@ Elmore/crosstalk/Monte-Carlo timing, EM checks, and a power model — see
 
 Quickstart (the supported surface is :mod:`repro.api`)::
 
-    from repro.api import compare
+    from repro.api import CompareRequest, compare
 
-    report = compare("ckt64")
+    report = compare(CompareRequest(design="ckt64"))
     print(f"smart saves {report.smart_saving_pct:.1f}% vs all-ndr")
 """
 
@@ -32,7 +32,7 @@ from repro.netlist import Design
 from repro.tech import (RoutingRule, RuleName, RULE_SET, Technology,
                         default_technology, rule_by_name)
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "api",

@@ -19,10 +19,6 @@ cheaply check:
 * process-pool workers neither read un-reset globals nor leave the
   forwarded-environment seam, and their payloads pickle soundly
   (**S-codes**, :mod:`repro.analysis.rules_state`);
-* every backend exposes the same kernel surface and no cache key
-  depends on backend selection (**B-codes**,
-  :mod:`repro.analysis.rules_backends`, driven by
-  :data:`repro.engine.invariants.KERNEL_PARITY`);
 * every physical quantity flows under its declared dimension — an
   interprocedural abstract interpretation over the
   :class:`repro.units.Dim` lattice, seeded from ``Annotated`` signature
@@ -59,13 +55,12 @@ from repro.analysis.report import (DEFAULT_DETERMINISM_ROOTS,
                                    expand_code_patterns,
                                    unsuppressed_rationales)
 
-# Importing the rule modules registers every D/C/I/S/B/Q/U check; keep
+# Importing the rule modules registers every D/C/I/S/Q/U check; keep
 # these after the registry-facing imports (they decorate into it).
 from repro.analysis import rules_determinism as _rules_d   # noqa: E402,F401
 from repro.analysis import rules_cachekey as _rules_c      # noqa: E402,F401
 from repro.analysis import rules_invalidation as _rules_i  # noqa: E402,F401
 from repro.analysis import rules_state as _rules_s         # noqa: E402,F401
-from repro.analysis import rules_backends as _rules_b      # noqa: E402,F401
 from repro.analysis import rules_units as _rules_q         # noqa: E402,F401
 
 __all__ = [

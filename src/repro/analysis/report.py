@@ -30,7 +30,7 @@ from repro.verify.diagnostics import Diagnostic, Severity, VerifyReport
 from repro.verify.registry import register, registered_checks, run_checks
 
 if TYPE_CHECKING:  # runtime imports stay lazy: the analyzer is AST-pure
-    from repro.engine.invariants import KernelParitySpec, StateInvariant
+    from repro.engine.invariants import StateInvariant
     from repro.io.artifacts import StageKeyEntry
     from repro.units import Dim
 
@@ -109,17 +109,6 @@ DEFAULT_CONTEXT_SPECS: tuple[ContextStateSpec, ...] = (
 #: Dataclasses pickled into worker processes (S002).
 DEFAULT_PAYLOAD_TYPES: tuple[str, ...] = ("repro.runner.matrix.JobSpec",)
 
-#: The content-addressed key builder; functions calling it anchor the
-#: B002 backend-independence sweep.
-DEFAULT_KEY_BUILDERS: tuple[str, ...] = ("repro.io.artifacts.content_key",)
-
-#: Everything that reveals the backend selection to its caller.
-DEFAULT_BACKEND_SOURCES: tuple[str, ...] = (
-    "repro.engine.backends.default_backend_name",
-    "repro.engine.backends.resolve_backend",
-    "repro.engine.backends.get_backend",
-)
-
 #: Module prefixes whose public unit-bearing signatures the Q004
 #: annotation-coverage ratchet applies to.
 DEFAULT_DIM_SIGNATURE_ROOTS: tuple[str, ...] = (
@@ -147,16 +136,13 @@ class StaticContext:
     process_roots: tuple[str, ...] = DEFAULT_PROCESS_ROOTS
     env_whitelist: tuple[str, ...] = ()
     manifest: tuple["StageKeyEntry", ...] = ()
-    #: Stateful-soundness config (I/S/B codes).  Default empty so a
+    #: Stateful-soundness config (I/S codes).  Default empty so a
     #: bare fixture context exercises only the D/C families; the real
     #: package context (:func:`build_static_context`) fills them in.
     invariants: tuple["StateInvariant", ...] = ()
     worker_groups: tuple[WorkerGroup, ...] = ()
     payload_types: tuple[str, ...] = ()
     context_specs: tuple[ContextStateSpec, ...] = ()
-    kernel_parity: Optional["KernelParitySpec"] = None
-    key_builders: tuple[str, ...] = ()
-    backend_sources: tuple[str, ...] = ()
     #: Dimension-inference config (Q codes): the DIMENSIONS manifest,
     #: the fully-qualified unit-constant table and the Q004 signature
     #: roots.  Empty by default for the same fixture-isolation reason.
@@ -242,11 +228,6 @@ def check_static_config(ctx: Any) -> Iterator[Diagnostic]:
             if name not in program.functions:
                 yield unknown(f"context spec '{spec.name}'", name,
                               "function")
-    parity = getattr(ctx, "kernel_parity", None)
-    if parity is not None:
-        for name in parity.classes:
-            if name not in program.classes:
-                yield unknown("kernel parity spec", name, "class")
 
 
 def build_static_context(
@@ -258,7 +239,7 @@ def build_static_context(
     is exactly right for linting a checkout of this repository.
     """
     import repro
-    from repro.engine.invariants import ENGINE_STATE_INVARIANTS, KERNEL_PARITY
+    from repro.engine.invariants import ENGINE_STATE_INVARIANTS
     from repro.io.artifacts import STAGE_KEY_MANIFEST
     from repro.runner.runner import FORWARDED_ENV_WHITELIST
     from repro.units import DIMENSIONS, UNIT_DIMENSIONS
@@ -277,9 +258,6 @@ def build_static_context(
                          worker_groups=DEFAULT_WORKER_GROUPS,
                          payload_types=DEFAULT_PAYLOAD_TYPES,
                          context_specs=DEFAULT_CONTEXT_SPECS,
-                         kernel_parity=KERNEL_PARITY,
-                         key_builders=DEFAULT_KEY_BUILDERS,
-                         backend_sources=DEFAULT_BACKEND_SOURCES,
                          dimensions_manifest=dict(DIMENSIONS),
                          unit_constants={
                              f"repro.units.{name}": dim

@@ -98,7 +98,7 @@ def _runtime_mutable(ctx: Any, program: ProgramModel,
                      groups: tuple["WorkerGroup", ...]) -> set[tuple[str, str]]:
     """Globals some function reachable from any analyzed root mutates.
 
-    Import-time registries (check tables, backend maps) are only
+    Import-time registries (check tables, design families) are only
     mutated by registration helpers no root reaches — excluding them
     keeps S001 about state that actually changes while workers live.
     """

@@ -28,9 +28,8 @@ Q005      a manifest-declared field (``spec.clock_period``,
           disagree; ERROR
 ========  ====================================================================
 
-The U family is the older, purely lexical unit hygiene that used to
-live in ``tools/lint_units.py`` (that file is now a thin shim over
-this module):
+The U family is the older, purely lexical unit hygiene; :func:`main`
+runs it standalone over files or directories:
 
 ========  ====================================================================
 U001      float-literal equality (``x == 0.0``) on physical quantities:
@@ -41,9 +40,7 @@ U002      magic conversion constant ``1000.0``/``0.001`` outside
           unit system; ERROR
 ========  ====================================================================
 
-All codes honor ``# static: ok[CODE] rationale`` suppressions; the U
-scanners additionally honor the legacy ``# lint-units: ok`` marker so
-external checkouts migrate at their own pace.
+All codes honor ``# static: ok[CODE] rationale`` suppressions.
 """
 
 from __future__ import annotations
@@ -67,10 +64,6 @@ from repro.verify.registry import register
 #: Q004 ratchet: the fraction of public unit-bearing signature slots
 #: that must carry a dimension annotation.
 Q004_COVERAGE_THRESHOLD = 0.9
-
-#: Legacy suppression marker of the standalone unit linter; still
-#: honored alongside ``# static: ok[U00x]``.
-SUPPRESS_MARKER = "lint-units: ok"
 
 #: Float literals that duplicate repro.units conversion constants
 #: (1e3 == 1000.0 and 1e-3 == 0.001 compare equal, so two entries
@@ -224,13 +217,10 @@ def _literal_value(node: ast.expr) -> float:
 
 def _marker_suppressed(source_lines: Sequence[str], rule: str,
                        lineno: int) -> bool:
-    """Inline suppression: legacy marker or ``# static: ok[U00x]``."""
+    """Inline suppression: ``# static: ok[U00x]``."""
     if lineno < 1 or lineno > len(source_lines):
         return False
-    text = source_lines[lineno - 1]
-    if SUPPRESS_MARKER in text:
-        return True
-    match = SUPPRESS_RE.search(text)
+    match = SUPPRESS_RE.search(source_lines[lineno - 1])
     return match is not None and rule in {
         code.strip() for code in match.group(1).split(",")}
 
@@ -313,7 +303,7 @@ def check_conversion_literal(ctx: Any) -> Iterator[Diagnostic]:
     yield from _hygiene_diagnostics(ctx, "U002")
 
 
-# -- standalone path-based API (tools/lint_units.py shim) --------------------
+# -- standalone path-based API ------------------------------------------------
 
 
 def default_paths() -> List[Path]:
@@ -373,7 +363,12 @@ def lint_paths(paths: Sequence[Path]) -> List[Finding]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone CLI (``python tools/lint_units.py``); exit 1 on hits."""
+    """Standalone CLI over :func:`lint_paths`; exit 1 on hits.
+
+    Run it as ``python -c "import sys; from repro.analysis.rules_units
+    import main; sys.exit(main())"``.  Not as ``python -m``: executing
+    this module as ``__main__`` would register its checks a second time.
+    """
     parser = argparse.ArgumentParser(
         description="unit-hygiene linter (U001 float-literal equality, "
                     "U002 magic unit-conversion constants); the full "

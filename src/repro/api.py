@@ -31,10 +31,6 @@ request defaults live in exactly one place: the dataclass fields.
 * :func:`fit_guide` — the inline-trained ML guide the ``*_ml``
   policies use.
 
-The pre-request call forms (``compare("ckt64", slack=0.1)``) keep
-working as deprecation shims: they build the equivalent request object,
-warn :class:`DeprecationWarning`, and produce bit-identical reports.
-
 Each report dataclass is plain data (JSON-ready via
 :func:`dataclasses.asdict` / :func:`report_to_dict`), so callers can
 persist or post-process results without touching runner internals.
@@ -43,7 +39,6 @@ persist or post-process results without touching runner internals.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from pathlib import Path
 from typing import Any, ClassVar, Optional, Sequence, Union
 
@@ -403,13 +398,6 @@ def _runner(tech: Optional[Technology], store: Any, jobs: int,
                       store=store, jobs=jobs, guide=guide)
 
 
-def _warn_legacy(name: str, hint: str) -> None:
-    warnings.warn(
-        f"api.{name}(design, ...) kwargs calls are deprecated; pass a "
-        f"{hint} instead (identical results, single source of defaults)",
-        DeprecationWarning, stacklevel=3)
-
-
 def run(request: FlowRequest, *, jobs: int = 1, store: Any = True,
         tech: Optional[Technology] = None,
         guide: Optional[NdrClassifierGuide] = None) -> CellReport:
@@ -445,10 +433,9 @@ def _compare_impl(request: CompareRequest, jobs: int, store: Any,
                          cells=tuple(_cell_report(r) for r in results))
 
 
-def compare(request: Union[CompareRequest, str], *, jobs: int = 1,
+def compare(request: CompareRequest, *, jobs: int = 1,
             store: Any = True, tech: Optional[Technology] = None,
-            guide: Optional[NdrClassifierGuide] = None,
-            **legacy: Any) -> CompareReport:
+            guide: Optional[NdrClassifierGuide] = None) -> CompareReport:
     """Compare NO/ALL/SMART (and optionally ML) policies on one design.
 
     Takes a :class:`CompareRequest` (the schema) plus execution-only
@@ -456,16 +443,11 @@ def compare(request: Union[CompareRequest, str], *, jobs: int = 1,
     accepts anything :class:`~repro.runner.FlowRunner` does (``True``
     for the per-user artifact cache, ``False``/``None`` to disable, a
     path, or a live store); with ``with_ml`` a guide is trained inline
-    unless one is passed.  The legacy ``compare(design, slack=...,
-    with_ml=...)`` form still works and warns ``DeprecationWarning``.
+    unless one is passed.
     """
-    if isinstance(request, CompareRequest):
-        if legacy:
-            raise TypeError(f"unexpected kwargs with a CompareRequest: "
-                            f"{sorted(legacy)}")
-    else:
-        _warn_legacy("compare", "CompareRequest")
-        request = CompareRequest(design=str(request), **legacy)
+    if not isinstance(request, CompareRequest):
+        raise TypeError("compare() takes a CompareRequest, e.g. "
+                        "compare(CompareRequest(design='ckt64'))")
     return _compare_impl(request, jobs, store, tech, guide)
 
 
@@ -488,26 +470,17 @@ def _sweep_impl(request: SweepRequest, jobs: int, store: Any,
     return SweepReport(design=request.design, points=tuple(points))
 
 
-def sweep(request: Union[SweepRequest, str], *, jobs: int = 1,
-          store: Any = True, tech: Optional[Technology] = None,
-          **legacy: Any) -> SweepReport:
+def sweep(request: SweepRequest, *, jobs: int = 1, store: Any = True,
+          tech: Optional[Technology] = None) -> SweepReport:
     """Sweep the budget slack for the smart policy on one design.
 
     The all-NDR reference is computed once and every slack's budgets
     derive from it — a sweep costs one reference plus one smart flow
-    per point.  Takes a :class:`SweepRequest`; the legacy
-    ``sweep(design, slacks=...)`` form still works and warns
-    ``DeprecationWarning``.
+    per point.  Takes a :class:`SweepRequest`.
     """
-    if isinstance(request, SweepRequest):
-        if legacy:
-            raise TypeError(f"unexpected kwargs with a SweepRequest: "
-                            f"{sorted(legacy)}")
-    else:
-        _warn_legacy("sweep", "SweepRequest")
-        if "slacks" in legacy:
-            legacy["slacks"] = tuple(float(s) for s in legacy["slacks"])
-        request = SweepRequest(design=str(request), **legacy)
+    if not isinstance(request, SweepRequest):
+        raise TypeError("sweep() takes a SweepRequest, e.g. "
+                        "sweep(SweepRequest(design='ckt64'))")
     return _sweep_impl(request, jobs, store, tech)
 
 
@@ -534,8 +507,7 @@ def _lint_impl(request: LintRequest,
                       kinds=list(request.kinds) if request.kinds else None)
 
 
-def lint(request: Union[LintRequest, str, None] = None, *,
-         tech: Optional[Technology] = None, **legacy: Any) -> Any:
+def lint(request: LintRequest, *, tech: Optional[Technology] = None) -> Any:
     """Run the verifier: a flow's DRC/ERC + oracle checks, or static.
 
     With ``LintRequest(static=True)`` the whole-program determinism /
@@ -545,23 +517,11 @@ def lint(request: Union[LintRequest, str, None] = None, *,
     (``codes=("Q*",)`` runs only the dimension checks).  Returns the
     report object (:class:`~repro.verify.VerifyReport` or the static
     analyzer's report) — both expose ``has_errors``, ``render()`` and
-    ``to_json()``.  The legacy ``lint(design, policy=..., static=...)``
-    form still works and warns ``DeprecationWarning``.
+    ``to_json()``.
     """
-    if isinstance(request, LintRequest):
-        if legacy:
-            raise TypeError(f"unexpected kwargs with a LintRequest: "
-                            f"{sorted(legacy)}")
-    else:
-        if request is not None or legacy:
-            _warn_legacy("lint", "LintRequest")
-        for name in ("kinds", "paths", "codes"):
-            if legacy.get(name) is not None and name in legacy:
-                legacy[name] = tuple(legacy[name])
-        cleaned = {k: v for k, v in legacy.items() if v is not None}
-        if "policy" in cleaned:
-            cleaned["policy"] = _policy_name(cleaned["policy"])
-        request = LintRequest(design=str(request or ""), **cleaned)
+    if not isinstance(request, LintRequest):
+        raise TypeError("lint() takes a LintRequest, e.g. "
+                        "lint(LintRequest(design='ckt64'))")
     return _lint_impl(request, tech)
 
 

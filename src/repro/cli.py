@@ -42,8 +42,7 @@ over worker processes; ``--no-cache`` disables the artifact store;
 ``--trace [PATH]`` records the run as an :mod:`repro.obs` trace —
 worker span trees are re-rooted into the parent's — prints the phase
 breakdown at exit, and writes trace JSONL to PATH (bare ``--trace``
-content-addresses the file next to the artifact store).  The old
-``--profile`` spelling is a deprecated alias for bare ``--trace``.
+content-addresses the file next to the artifact store).
 """
 
 from __future__ import annotations
@@ -540,8 +539,8 @@ def add_common_opts(p) -> None:
     """The options every subcommand shares.
 
     Defaults are ``SUPPRESS`` so a subcommand-level flag overrides the
-    parser-wide ``set_defaults`` values without clobbering deprecated
-    top-level spellings (``repro --no-cache compare ...`` still works).
+    parser-wide ``set_defaults`` values without clobbering the
+    top-level spelling (``repro --no-cache compare ...`` still works).
     """
     p.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                    metavar="N",
@@ -556,16 +555,12 @@ def add_common_opts(p) -> None:
                    help="record an obs trace; print the phase breakdown and "
                         "write trace JSONL to PATH (bare --trace "
                         "content-addresses it next to the artifact store)")
-    p.add_argument("--profile", action="store_true",
-                   default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI."""
     parser = argparse.ArgumentParser(
         prog="repro", description="Smart non-default clock routing flows")
-    parser.add_argument("--profile", action="store_true",
-                        help="deprecated alias for bare --trace")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the content-addressed artifact store")
     parser.set_defaults(jobs=1, json=False, trace=None)
@@ -750,11 +745,6 @@ def main(argv=None) -> int:
         "serve": cmd_serve,
         "store": cmd_store,
     }[args.command]
-    if getattr(args, "profile", False):
-        print("note: --profile is deprecated; use --trace [PATH]",
-              file=sys.stderr)
-        if args.trace is None:
-            args.trace = ""
     if args.trace is None:
         return handler(args)
     tracer = obs.enable(f"repro.{args.command}")

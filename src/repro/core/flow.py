@@ -118,7 +118,6 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
              targets: Optional[RobustnessTargets] = None,
              random_fraction: float = 0.3, random_seed: int = 0,
              guide=None, lambda_track: float = 0.05,
-             engine_backend: str = "",
              store=None) -> FlowResult:
     """Run one policy end to end on ``design``.
 
@@ -133,10 +132,6 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
         (:meth:`RobustnessTargets.for_period`).
     random_fraction / random_seed:
         Only used by ``Policy.RANDOM``.
-    engine_backend:
-        Analysis-engine backend name for the optimizing policies
-        ("" = registry default).  Backends are verified bit-identical,
-        so this never changes the result — only how fast it arrives.
     store:
         Optional :class:`~repro.io.artifacts.ArtifactStore`; the build
         stage is then shared across invocations (each policy mutates
@@ -160,8 +155,7 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
     policy_params = PolicyParams(policy=policy,
                                  random_fraction=random_fraction,
                                  random_seed=random_seed,
-                                 lambda_track=lambda_track,
-                                 engine_backend=engine_backend)
+                                 lambda_track=lambda_track)
     # Track the stage budget explicitly so retries actually shrink it
     # (insert_buffers uses 25% of the largest buffer's load by default).
     stage_budget = 0.25 * tech.buffers.largest.max_cap

@@ -31,7 +31,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Union
 
 from repro import obs
 from repro.core.evaluation import AnalysisBundle, analyze_all
@@ -87,7 +86,7 @@ class SmartNdrOptimizer:
                  tech: Technology, targets: RobustnessTargets, freq: float,
                  lambda_track: float = 0.05, max_iterations: int = 10,
                  use_shielding: bool = False,
-                 use_engine: Union[bool, str] = True,
+                 use_engine: bool = True,
                  verify_every: int = 0) -> None:
         if lambda_track < 0.0:
             raise ValueError("lambda_track must be non-negative")
@@ -96,9 +95,8 @@ class SmartNdrOptimizer:
         if verify_every < 0:
             raise ValueError("verify_every must be >= 0")
         self.use_shielding = use_shielding
-        #: ``False`` = legacy full re-analysis; ``True`` = incremental
-        #: engine on the default backend; a string names a registered
-        #: engine backend (see :mod:`repro.engine.backends`)
+        #: ``True`` = incremental engine; ``False`` = full re-analysis by
+        #: the reference analyzers (the engine's equivalence oracle)
         self.use_engine = use_engine
         #: debug mode: run the engine-coherence oracle every N applied
         #: iterations (0 = off); raises VerificationError on any ERROR
@@ -132,8 +130,7 @@ class SmartNdrOptimizer:
             # back in, which would cycle at module-import time.
             from repro.engine import AnalysisEngine
             engine = AnalysisEngine(extraction, self.tree, self.tech,
-                                    self.freq, self.targets,
-                                    backend=self.use_engine)
+                                    self.freq, self.targets)
             self._sens_cache = SensitivityCache(self.routing,
                                                self.tech.rules)
         with obs.span("opt.analyze"):

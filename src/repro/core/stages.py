@@ -65,18 +65,9 @@ class PolicyParams:
     random_seed: int = 0
     lambda_track: float = 0.05
     verify_every: int = 0
-    #: engine backend name ("" = default); backends are verified
-    #: bit-identical, so this is a pure performance knob and is always
-    #: stripped from the fingerprint
-    engine_backend: str = ""
 
     def normalized(self) -> "PolicyParams":
-        """Drop knobs the policy does not read (stable cache keys).
-
-        ``engine_backend`` is dropped unconditionally: every backend
-        produces bit-identical artifacts, so cached cells stay valid
-        across backend switches.
-        """
+        """Drop knobs the policy does not read (stable cache keys)."""
         if self.policy == Policy.RANDOM:
             return PolicyParams(policy=self.policy,
                                 random_fraction=self.random_fraction,
@@ -145,7 +136,6 @@ def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
                 tree, routing, tech, targets, freq,
                 lambda_track=params.lambda_track,
                 use_shielding=(policy == Policy.SMART_SHIELD),
-                use_engine=params.engine_backend or True,
                 verify_every=params.verify_every)
             with obs.span("flow.optimize"):
                 return optimizer.run(physical.extraction)

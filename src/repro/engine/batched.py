@@ -1,9 +1,8 @@
-"""Whole-design batched analysis kernel (the ``numpy-sparse`` backend).
+"""Whole-design batched analysis kernel, the analysis engine's only kernel.
 
-The dense backend (:mod:`repro.engine.kernel`) dispatches a Python
-work-stack over per-stage kernels — at 16k+ sinks the per-stage Python
-overhead, not the array math, dominates every analysis.  This module
-compiles the *entire* clock network into one concatenated
+Per-stage kernels dispatched from a Python work-stack spend their time
+in per-stage Python overhead, not array math, at 16k+ sinks.  This
+module compiles the *entire* clock network into one concatenated
 parent-pointer forest plus flat CSR-style incidence entries, so static
 timing, crosstalk, EM and Monte Carlo each run as a handful of
 vectorized sweeps over the full design:
@@ -19,13 +18,14 @@ vectorized sweeps over the full design:
   (:class:`~repro.engine.incremental.FrozenVariation`) into global
   column order and reuses the same sweeps with a trailing sample axis.
 
-Equivalence is bit-exact, not approximate: both backends issue the
-same float operations in the same order (shared treeops primitives,
-shared association for driver delay/slew/coupling sums — see the
-treeops module docstring for the ordering argument), and the
-backend-equivalence suite asserts ``np.array_equal`` across backends.
+The from-scratch analyzers (``analyze_clock_timing``,
+``analyze_crosstalk``, ``analyze_em``, ``run_monte_carlo``) are the
+reference: the reference-equivalence suite holds every analysis to
+them at 1e-9, and the treeops primitives pin the float-addition order
+(see the treeops module docstring), so results are reproducible to the
+bit.
 
-Results come back in the dense backend's DFS emission order — the
+Results come back in the reference analyzers' DFS emission order — the
 compile step precomputes the work-stack visit order so sink lists,
 arrival matrices and per-wire EM records line up row for row.
 """
@@ -58,10 +58,9 @@ class _StageSlice:
     """Per-stage view into the global arenas (oracle entry point).
 
     Float arrays are numpy *views* — mutating them corrupts the live
-    kernel exactly like mutating a dense :class:`StageKernel` array,
-    which is what the verify-oracle fault-injection tests rely on.
-    Index arrays (``parent``, ``ent_node``, ``ent_col``) are re-based
-    local copies.
+    kernel, which is what the verify-oracle fault-injection tests rely
+    on.  Index arrays (``parent``, ``ent_node``, ``ent_col``) are
+    re-based local copies.
     """
 
     __slots__ = ("n", "m", "wire_ids", "parent", "ent_node", "ent_col",
@@ -75,8 +74,6 @@ class _StageSlice:
 
 class BatchedNetworkKernel:
     """One clock network compiled to whole-design flat arrays."""
-
-    backend_name = "numpy-sparse"
 
     def __init__(self, network: ClockRcNetwork, routing: RoutingResult,
                  parasitics: dict[int, WireParasitics]) -> None:
@@ -209,8 +206,9 @@ class BatchedNetworkKernel:
             level = [child_stage[fi] for fi in lconn]
         self._sched = sched
 
-        # Flop emission order: the dense backend's DFS work-stack order
-        # (stack is LIFO, so the last-pushed child stage runs first).
+        # Flop emission order: the reference analyzers' DFS work-stack
+        # order (stack is LIFO, so the last-pushed child stage runs
+        # first).
         emit: list[int] = []
         work = [network.root_stage] if n_stages else []
         while work:
@@ -252,14 +250,14 @@ class BatchedNetworkKernel:
         """Drop every derived-array cache (benchmark / debugging hook)."""
         self._invalidate()
 
-    # -- incremental updates (NetworkKernel-compatible API) ----------------
+    # -- incremental updates -----------------------------------------------
 
     @property
     def num_stages(self) -> int:
         return len(self.network.stages)
 
     def stage_view(self, stage_idx: int) -> _StageSlice:
-        """Backend-agnostic per-stage array view (oracle entry point)."""
+        """Per-stage array view (oracle entry point)."""
         self._ensure()
         b0 = int(self.node_base[stage_idx])
         b1 = int(self.node_base[stage_idx + 1])
@@ -281,8 +279,7 @@ class BatchedNetworkKernel:
             width=self.width[c0:c1], thickness=self.thickness[c0:c1],
             jmax=self.jmax[c0:c1])
 
-    def patch_wire(self, stage_idx: int, wire_id: int,
-                   para: WireParasitics) -> None:
+    def patch_wire(self, wire_id: int, para: WireParasitics) -> None:
         """Apply one wire's new parasitics/geometry in place."""
         if self._stale:
             # A recompile is already pending; it re-reads the live
@@ -306,8 +303,7 @@ class BatchedNetworkKernel:
             self.r[base + 1] = nodes[1].r
         self._invalidate()
 
-    def recompile_stage(self, stage_idx: int,
-                        parasitics: dict[int, WireParasitics]) -> None:
+    def recompile_stage(self, parasitics: dict[int, WireParasitics]) -> None:
         """Mark the arena stale after a topology edit (lazy recompile).
 
         Topology edits shift every downstream global index, so the
@@ -336,9 +332,9 @@ class BatchedNetworkKernel:
 
         ``t[sink] = entry[stage] (+ stage_base[stage]) + per_sink[sink]``
         with each connector sink's ``t`` becoming its child stage's
-        entry — the association of the dense backend's work-stack walk,
-        level-batched.  Works for 1-D values and for ``(sinks, samples)``
-        Monte-Carlo matrices alike.
+        entry — the association of the reference analyzers' work-stack
+        walk, level-batched.  Works for 1-D values and for
+        ``(sinks, samples)`` Monte-Carlo matrices alike.
         """
         entry = np.zeros((self.n_stages,) + per_sink.shape[1:])
         t = np.zeros_like(per_sink)

@@ -1,11 +1,12 @@
 """Dirty-tracked analysis over a patched extraction.
 
-:class:`AnalysisEngine` wraps one :class:`Extraction` with compiled
-kernels and keeps every analysis result cached until its inputs move:
+:class:`AnalysisEngine` wraps one :class:`Extraction` with a compiled
+:class:`~repro.engine.batched.BatchedNetworkKernel` and keeps every
+analysis result cached until its inputs move:
 
 * **rule changes** (``apply_rule_changes``) re-extract the touched
   wires plus their coupling dependents, patch the RC network and the
-  kernels in place, and invalidate everything — but re-running is now
+  kernel in place, and invalidate everything — but re-running is now
   a handful of stage-local array updates, not a network rebuild;
 * **trims** (``rebuild_stages``) rebuild only the touched stages.  EM
   survives a trim untouched: pad/snake capacitance hangs at or above
@@ -22,7 +23,7 @@ compile, the same price as the legacy full rebuild.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -30,8 +31,7 @@ from repro import obs
 from repro.core.evaluation import AnalysisBundle
 from repro.core.targets import RobustnessTargets
 from repro.cts.tree import ClockTree
-from repro.engine.backends import resolve_backend
-from repro.engine.kernel import StageKernel
+from repro.engine.batched import BatchedNetworkKernel
 from repro.extract.extractor import Extraction, incremental_re_extract
 from repro.power.clockpower import PowerReport, analyze_power
 from repro.reliability.em import DEFAULT_EM_FACTOR, EmReport
@@ -112,15 +112,12 @@ class FrozenVariation:
         self.r_scale: dict[int, np.ndarray] = {
             wid: self._r_mat[i] for wid, i in rows}
         self.buf_scale: list[np.ndarray] = list(self._buf_mat)
-        #: stage index -> (area_scale, r_scale) matrices in column order
-        self._stage_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __getstate__(self) -> dict:
         # Pickle would write every row view as an independent copy,
         # detaching it from its matrix; ship the matrices only.
         state = self.__dict__.copy()
-        for name in ("z_rand", "area_scale", "r_scale", "buf_scale",
-                     "_stage_cache"):
+        for name in ("z_rand", "area_scale", "r_scale", "buf_scale"):
             del state[name]
         return state
 
@@ -140,7 +137,7 @@ class FrozenVariation:
         """(stages, samples) buffer delay scale factors."""
         return self._buf_mat
 
-    def refresh_wire(self, wire, stage_idx: Optional[int] = None) -> None:
+    def refresh_wire(self, wire) -> None:
         """Recompute one wire's factors (its width moved) from frozen draws."""
         row = self.wire_row[wire.wire_id]
         cell = self.cells[wire.wire_id]
@@ -149,29 +146,6 @@ class FrozenVariation:
             self._z_rand_mat[row], self.z_thick[cell])
         self._area_mat[row] = area
         self._r_mat[row] = r
-        if stage_idx is not None:
-            self._stage_cache.pop(stage_idx, None)
-
-    def invalidate_stage(self, stage_idx: int) -> None:
-        """Drop one stage's stacked-scale cache (its wire set changed)."""
-        self._stage_cache.pop(stage_idx, None)
-
-    def stage_scales(self, stage_idx: int, kernel: StageKernel,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """(area_scale, r_scale) stacked per local wire column, cached."""
-        cached = self._stage_cache.get(stage_idx)
-        if cached is None:
-            if kernel.m:
-                area = np.vstack([self.area_scale[wid]
-                                  for wid in kernel.wire_ids])
-                r = np.vstack([self.r_scale[wid]
-                               for wid in kernel.wire_ids])
-            else:
-                area = np.zeros((0, self.n_samples))
-                r = np.zeros((0, self.n_samples))
-            cached = (area, r)
-            self._stage_cache[stage_idx] = cached
-        return cached
 
 
 class AnalysisEngine:
@@ -179,16 +153,14 @@ class AnalysisEngine:
 
     def __init__(self, extraction: Extraction, tree: ClockTree,
                  tech: Technology, freq: float,
-                 targets: RobustnessTargets,
-                 backend: Union[bool, str, None] = None) -> None:
+                 targets: RobustnessTargets) -> None:
         self.extraction = extraction
         self.tree = tree
         self.tech = tech
         self.freq = freq
         self.targets = targets
-        self.backend = resolve_backend(backend)
-        with obs.span("engine.compile", backend=self.backend.name):
-            self.kernel = self.backend.build(
+        with obs.span("engine.compile"):
+            self.kernel = BatchedNetworkKernel(
                 extraction.network, extraction.routing, extraction.wires)
         self.frozen = FrozenVariation(
             extraction.network, extraction.routing, tech,
@@ -212,13 +184,10 @@ class AnalysisEngine:
         dirty, stages = incremental_re_extract(self.extraction, wire_ids)
         obs.counter("engine.incremental_re_extracts").inc()
         obs.histogram("engine.dirty_wires").observe(float(len(dirty)))
-        network = self.extraction.network
         tracks = self.extraction.routing.tracks
         for wire_id in dirty:
-            stage_idx = network.wire_stage(wire_id)
-            self.kernel.patch_wire(stage_idx, wire_id,
-                                   self.extraction.wires[wire_id])
-            self.frozen.refresh_wire(tracks.wire(wire_id), stage_idx)
+            self.kernel.patch_wire(wire_id, self.extraction.wires[wire_id])
+            self.frozen.refresh_wire(tracks.wire(wire_id))
         self._timing = self._xtalk = self._em = None
         self._power = self._mc = None
         return dirty
@@ -242,8 +211,7 @@ class AnalysisEngine:
             network.rebuild_stage(stage_idx, self.tree,
                                   self.extraction.routing,
                                   self.extraction.wires)
-            self.kernel.recompile_stage(stage_idx, self.extraction.wires)
-            self.frozen.invalidate_stage(stage_idx)
+            self.kernel.recompile_stage(self.extraction.wires)
             obs.counter("engine.stage_rebuilds").inc()
         self._timing = self._xtalk = None
         self._power = self._mc = None
@@ -257,8 +225,7 @@ class AnalysisEngine:
     def static_timing(self) -> ClockTiming:
         """Elmore static timing, cached until a change notification."""
         if self._timing is None:
-            with obs.span("engine.static_timing",
-                          backend=self.backend.name):
+            with obs.span("engine.static_timing"):
                 self._timing = self.kernel.static_timing(self.tech)
             self._mark_rss()
         return self._timing
@@ -266,12 +233,12 @@ class AnalysisEngine:
     def analyze(self) -> AnalysisBundle:
         """The full bundle, recomputing only invalidated analyses."""
         if self._xtalk is None:
-            with obs.span("engine.crosstalk", backend=self.backend.name):
+            with obs.span("engine.crosstalk"):
                 self._xtalk = self.kernel.crosstalk(
                     alignment=self.targets.alignment)
             self._mark_rss()
         if self._em is None:
-            with obs.span("engine.em", backend=self.backend.name):
+            with obs.span("engine.em"):
                 self._em = self.kernel.em(self.tech.vdd, self.freq,
                                           em_factor=DEFAULT_EM_FACTOR)
             self._mark_rss()
@@ -279,8 +246,7 @@ class AnalysisEngine:
             self._power = analyze_power(self.extraction, self.tech,
                                         self.freq)
         if self._mc is None:
-            with obs.span("engine.monte_carlo",
-                          backend=self.backend.name):
+            with obs.span("engine.monte_carlo"):
                 self._mc = self.kernel.monte_carlo(self.frozen)
             self._mark_rss()
         return AnalysisBundle(timing=self.static_timing(),

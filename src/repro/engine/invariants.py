@@ -6,17 +6,13 @@ invalidation (cache drop, stale mark), and every analysis entry point
 must pass a recompile barrier before reading arena state that a
 pending mutation may have doomed.  This module *declares* those
 pairings so the static analyzer (:mod:`repro.analysis.rules_invalidation`)
-can prove them over the AST instead of trusting code review:
+can prove them over the AST instead of trusting code review.
+:data:`ENGINE_STATE_INVARIANTS` holds one :class:`StateInvariant` per
+stateful class, naming the guarded attribute writes, the paired
+invalidators, the stale flag and the recompile barrier (codes
+I001–I003).
 
-* :data:`ENGINE_STATE_INVARIANTS` — one :class:`StateInvariant` per
-  stateful class, naming the guarded attribute writes, the paired
-  invalidators, the stale flag and the recompile barrier (codes
-  I001–I003);
-* :data:`KERNEL_PARITY` — the shared kernel surface every registered
-  backend class must expose with matching signatures (codes
-  B001–B002, :mod:`repro.analysis.rules_backends`).
-
-Keep these in sync with the classes they describe: the analyzer's
+Keep it in sync with the classes it describes: the analyzer's
 ``static-config`` check errors on entries naming unknown classes, and
 I002 errors on declared invalidators or guarded fields that no longer
 exist in the code.
@@ -55,20 +51,6 @@ class StateInvariant:
     exempt: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class KernelParitySpec:
-    """The backend-parity contract (B001).
-
-    Every class listed in ``classes`` must define every method in
-    ``surface`` with an identical parameter list and identical
-    defaults — the engine seam dispatches on the shared surface, so a
-    drifted signature is a latent per-backend behavior fork.
-    """
-
-    classes: tuple[str, ...]
-    surface: tuple[str, ...]
-
-
 ENGINE_STATE_INVARIANTS: tuple[StateInvariant, ...] = (
     StateInvariant(
         cls="repro.engine.batched.BatchedNetworkKernel",
@@ -81,24 +63,4 @@ ENGINE_STATE_INVARIANTS: tuple[StateInvariant, ...] = (
         barrier="_ensure",
         exempt=("__init__", "_compile"),
     ),
-    StateInvariant(
-        cls="repro.engine.kernel.StageKernel",
-        guarded_fields=("r", "cap_fixed", "area_half", "rest_half",
-                        "cc_half", "act_half", "width", "thickness",
-                        "jmax"),
-        cache_attrs=("_down", "_timing", "_xtalk"),
-        exempt=("__init__", "_load_wire"),
-    ),
-)
-
-#: The two always-available kernel classes.  The numba backend wraps
-#: the batched arenas behind the same surface but is defined inside an
-#: import-gated factory, which the module-level AST collector cannot
-#: see; its parity is covered at runtime by the bit-identity suite.
-KERNEL_PARITY = KernelParitySpec(
-    classes=("repro.engine.kernel.NetworkKernel",
-             "repro.engine.batched.BatchedNetworkKernel"),
-    surface=("num_stages", "stage_view", "invalidate_caches",
-             "patch_wire", "retrim_stage", "recompile_stage",
-             "static_timing", "crosstalk", "em", "monte_carlo"),
 )

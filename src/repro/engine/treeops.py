@@ -1,8 +1,7 @@
 """Order-controlled scatter-add passes over parent-pointer forests.
 
-Both analysis backends (the per-stage ``numpy-dense`` kernels and the
-whole-design ``numpy-sparse`` batched kernel) reduce every tree
-computation to three primitives over a parent-pointer array:
+The batched analysis kernel (:mod:`repro.engine.batched`) reduces every
+tree computation to three primitives over a parent-pointer array:
 
 * :func:`accumulate_downstream` — bottom-up suffix sum (downstream
   capacitance), the vectorised replacement for the legacy reversed
@@ -10,11 +9,11 @@ computation to three primitives over a parent-pointer array:
 * :func:`accumulate_prefix` — top-down prefix sum along root-to-node
   paths (Elmore delay, shared-resistance path sums);
 * :func:`scatter_add` — entry-ordered incidence application (per-node
-  wire capacitance), replacing the dense node x wire matmul.
+  wire capacitance), replacing a dense node x wire matmul.
 
-Floating-point addition is not associative, so *backend equivalence to
-the bit* requires both backends to issue the same additions in the same
-order.  The primitives pin that order down:
+Floating-point addition is not associative, so results that are
+reproducible to the bit need every caller to issue the same additions
+in the same order.  The primitives pin that order down:
 
 * ``accumulate_downstream`` processes depth levels deepest-first and,
   within a level, nodes in **descending index order** — exactly the
@@ -34,8 +33,8 @@ order.  The primitives pin that order down:
 Because additions into a parent only ever come from its own children
 (same stage, same level), the primitives produce bit-identical results
 whether a forest is processed stage-by-stage or as one concatenated
-whole-design forest — the property the backend-equivalence suite
-asserts.
+whole-design forest — the property the treeops micro-tests in
+``tests/test_engine_backends.py`` assert.
 """
 
 from __future__ import annotations
@@ -133,8 +132,8 @@ def scatter_add(out: np.ndarray, index: np.ndarray,
     """Entry-ordered ``out[index[e]] += values[e]``, in place.
 
     ``np.add.at`` applies duplicate indices sequentially in entry
-    order, which is the ordering contract the backends share for
-    incidence (node <- wire capacitance) application.
+    order, which is the ordering contract for incidence (node <- wire
+    capacitance) application.
     """
     np.add.at(out, index, values)
     return out

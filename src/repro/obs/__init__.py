@@ -15,9 +15,7 @@ The measurement substrate for the whole flow (see
   and the ``repro trace`` renderer (:mod:`repro.obs.report`).
 
 Everything is off by default and costs one ``None`` check per probe;
-:func:`enable` installs the process tracer.  The legacy
-:mod:`repro.perf` module is a deprecated compatibility shim over this
-package.
+:func:`enable` installs the process tracer.
 """
 
 from __future__ import annotations

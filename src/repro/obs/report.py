@@ -4,8 +4,8 @@ Three tables over one :class:`~repro.obs.export.TraceData` (or a live
 :class:`~repro.obs.spans.Tracer`):
 
 * **phase breakdown** — per span name: calls, total seconds, *self*
-  seconds (total minus direct children — the partition the flat
-  :mod:`repro.perf` report could never give), share of the trace;
+  seconds (total minus direct children — the partition a flat
+  per-name timer report cannot give), share of the trace;
 * **per-cell timeline** — one row per ``runner.cell`` span in start
   order: where each matrix cell ran, for how long, and whether it was
   served from the artifact cache;

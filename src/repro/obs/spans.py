@@ -23,7 +23,7 @@ Cross-process propagation is explicit and identity-preserving:
   parent span, and merges the metric deltas.
 
 Because every span is one record adopted at most once, totals can never
-double-count — the failure mode of the old :mod:`repro.perf` flat-dict
+double-count — the failure mode of a flat, name-keyed timer-dict
 merge, where a cell executed in-process on a cache fallback was folded
 into the parent's totals twice.
 """
@@ -108,7 +108,7 @@ class Tracer:
     def phase_totals(self) -> dict[str, dict[str, float]]:
         """Per-name totals, ``{name: {seconds, calls}}``.
 
-        The :mod:`repro.perf`-compatible breakdown: nested spans are
+        The flat per-phase breakdown: nested spans are
         counted under their own name *and* inside their enclosing
         span's duration (a breakdown, not a partition).  Open spans
         are skipped — only finished work is attributed.
@@ -227,7 +227,7 @@ def capture(name: str = "capture", reroot: bool = True) -> Iterator[Tracer]:
     exactly once, keyed by identity rather than flat-merged by name.
     This is how the runner gives every job its own trace without
     losing the spans from a ``--trace`` session total, and it is the
-    span-identity fix for the old ``perf.capture`` double-count.
+    span-identity fix for a flat name-keyed merge's double-count.
     """
     global _TRACER
     outer = _TRACER

@@ -67,9 +67,6 @@ class JobSpec:
     random_fraction: float = 0.3
     random_seed: int = 0
     lambda_track: float = 0.05
-    #: analysis-engine backend name ("" = default); bit-identical
-    #: across backends, so it never enters the cell fingerprint
-    engine_backend: str = ""
 
     @property
     def label(self) -> str:
@@ -81,8 +78,7 @@ class JobSpec:
         return PolicyParams(policy=self.policy,
                             random_fraction=self.random_fraction,
                             random_seed=self.random_seed,
-                            lambda_track=self.lambda_track,
-                            engine_backend=self.engine_backend).normalized()
+                            lambda_track=self.lambda_track).normalized()
 
     def reference_job(self) -> Optional["JobSpec"]:
         """The upstream all-NDR reference this cell's budgets need."""
@@ -136,7 +132,6 @@ class RunMatrix:
     random_fraction: float = 0.3
     random_seed: int = 0
     lambda_track: float = 0.05
-    engine_backend: str = ""
     extra_cells: tuple[JobSpec, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -153,8 +148,7 @@ class RunMatrix:
         out = [JobSpec(design=d, policy=p, slack=s,
                        random_fraction=self.random_fraction,
                        random_seed=self.random_seed,
-                       lambda_track=self.lambda_track,
-                       engine_backend=self.engine_backend)
+                       lambda_track=self.lambda_track)
                for d in self.designs
                for p in self.policies
                for s in self.slacks]

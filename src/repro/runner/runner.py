@@ -42,7 +42,6 @@ from typing import Any, Callable, Iterable, Optional, Union
 
 from repro import obs
 from repro.core.flow import FlowResult, run_flow
-from repro.engine.backends import default_backend_name
 from repro.core.policies import Policy
 from repro.core.targets import RobustnessTargets
 from repro.io.artifacts import ArtifactStore, content_key
@@ -60,8 +59,7 @@ RefMetrics = tuple[float, float]
 #: from worker-reachable code; reading anything else is a D003/S003
 #: finding because a worker would silently diverge from the parent.
 FORWARDED_ENV_WHITELIST: tuple[str, ...] = ("REPRO_VERIFY_FLOWS",
-                                            "REPRO_CACHE_DIR",
-                                            "REPRO_ENGINE_BACKEND")
+                                            "REPRO_CACHE_DIR")
 
 
 @dataclass
@@ -234,7 +232,7 @@ def _verify_diagnostics(flow: FlowResult, label: str) -> list[dict[str, object]]
     return [d.to_dict() for d in report.diagnostics]
 
 
-def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],  # static: ok[C001] engine_backend is a perf knob; backends are verified bit-identical, so cells sharing a cache entry across backends is the intended behavior
+def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
                  ctx: _ExecContext) -> JobResult:
     """Run (or load) one cell and package the streamed result.
 
@@ -242,9 +240,8 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],  # static: ok[C001
     ``runner.cell`` span, so per-phase timings stream back even when
     the session is untraced.  A traced caller sees the cell's spans
     re-rooted under its current span on capture exit (identity
-    adoption — the span-level fix for the old ``perf.capture`` flat
-    merge that double-counted cells run in-process on a cache
-    fallback); otherwise the payload rides back on ``JobResult.trace``
+    adoption, so a cell run in-process on a cache fallback is counted
+    once); otherwise the payload rides back on ``JobResult.trace``
     for the parent process to adopt.
     """
     start = time.perf_counter()  # static: ok[D002] feeds JobResult.runtime metadata only
@@ -284,16 +281,11 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],  # static: ok[C001
                         _save_cell(store, key, record, flow)
             cached = record is not None
             if record is None:
-                # The forwarded-variable seam: REPRO_ENGINE_BACKEND is
-                # read exactly here (whitelisted), once per job, never
-                # again further down the flow.
                 flow = run_flow(design, ctx.tech, policy=job.policy,
                                 targets=targets,
                                 random_fraction=job.random_fraction,
                                 random_seed=job.random_seed,
                                 lambda_track=job.lambda_track,
-                                engine_backend=(job.engine_backend
-                                                or default_backend_name()),
                                 guide=ctx.guide, store=ctx.store)
                 record = CellRecord.of(flow)
                 if key is not None and store is not None:
@@ -330,15 +322,13 @@ _WORKER_CTX: Optional[_ExecContext] = None
 
 
 def _pool_init(tech: Technology, store_root: Optional[str], verify: bool,
-               guide: object, return_flows: bool,
-               engine_backend: str) -> None:
+               guide: object, return_flows: bool) -> None:
     """Per-worker initializer: rebuild the execution context.
 
-    ``REPRO_VERIFY_FLOWS`` and ``REPRO_ENGINE_BACKEND`` are forwarded
-    explicitly — captured once in the parent, replayed here — so the
-    in-flow verification hook and the backend selection behave in
-    workers exactly as they would in the parent, regardless of how the
-    pool was spawned.
+    ``REPRO_VERIFY_FLOWS`` is forwarded explicitly — captured once in
+    the parent, replayed here — so the in-flow verification hook
+    behaves in workers exactly as it would in the parent, regardless of
+    how the pool was spawned.
     """
     global _WORKER_CTX
     # A forked worker inherits the parent's installed tracer; drop it so
@@ -349,7 +339,6 @@ def _pool_init(tech: Technology, store_root: Optional[str], verify: bool,
         os.environ["REPRO_VERIFY_FLOWS"] = "1"
     else:
         os.environ.pop("REPRO_VERIFY_FLOWS", None)
-    os.environ["REPRO_ENGINE_BACKEND"] = engine_backend
     store = ArtifactStore(store_root) if store_root is not None else None
     _WORKER_CTX = _ExecContext(tech=tech, store=store, verify=verify,  # static: ok[D004] per-worker context slot, written once by the pool initializer before any job runs
                                guide=guide, return_flows=return_flows)
@@ -519,8 +508,8 @@ class FlowRunner:
                 initializer=_pool_init,
                 initargs=(self.tech,
                           str(self.store.root) if self.store else None,
-                          self.verify, self.guide, return_flows,
-                          default_backend_name())) as pool:
+                          self.verify, self.guide,
+                          return_flows)) as pool:
             # Phase 1: deduplicated upstream references.
             for result in pool.map(_pool_run, ref_jobs,
                                    [None] * len(ref_jobs)):

@@ -19,7 +19,6 @@ from typing import Any, AsyncIterator, Optional
 
 from repro import obs
 from repro.api import REQUEST_KINDS, request_from_dict
-from repro.engine.backends import default_backend_name
 from repro.io.artifacts import (ArtifactStore, content_key,
                                 default_cache_max_bytes)
 from repro.serve.coalesce import Coalescer
@@ -95,7 +94,6 @@ class ServeDaemon:
             self._owns_tracer = True
         self.pool = WorkerPool(
             workers=self.config.workers, verify=self.config.verify,
-            engine_backend=default_backend_name(),
             store_root=str(self.store.root))
         if self.config.warm:
             await self.pool.warm()

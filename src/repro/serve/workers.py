@@ -29,14 +29,12 @@ _WORKER_STORE: Optional[ArtifactStore] = None
 _WORKER_READY: bool = False
 
 
-def _serve_pool_init(verify: bool, engine_backend: str,
-                     store_root: Optional[str]) -> None:
+def _serve_pool_init(verify: bool, store_root: Optional[str]) -> None:
     """Per-worker initializer: forward env, open the warm store.
 
-    ``REPRO_VERIFY_FLOWS`` and ``REPRO_ENGINE_BACKEND`` are captured
-    once in the daemon and replayed here, exactly like the flow
-    runner's pool initializer, so flows behave identically in workers
-    and in-process.
+    ``REPRO_VERIFY_FLOWS`` is captured once in the daemon and replayed
+    here, exactly like the flow runner's pool initializer, so flows
+    behave identically in workers and in-process.
     """
     global _WORKER_STORE, _WORKER_READY
     # A forked worker inherits the daemon's installed tracer; drop it
@@ -47,7 +45,6 @@ def _serve_pool_init(verify: bool, engine_backend: str,
         os.environ["REPRO_VERIFY_FLOWS"] = "1"
     else:
         os.environ.pop("REPRO_VERIFY_FLOWS", None)
-    os.environ["REPRO_ENGINE_BACKEND"] = engine_backend
     _WORKER_STORE = (ArtifactStore(store_root)  # static: ok[D004] per-worker store slot, written once by the pool initializer before any request runs
                      if store_root is not None else None)
     _WORKER_READY = True  # static: ok[D004] per-worker readiness flag, written once by the pool initializer
@@ -76,7 +73,7 @@ def _serve_pool_run(payload: dict[str, Any]) -> dict[str, Any]:
 def _serve_pool_ping() -> int:
     """Warm-up entry: force worker spawn + imports, return the pid."""
     assert _WORKER_READY, "serve pool used before initialization"
-    import repro.engine  # noqa: F401  (pulls the compiled kernels in)
+    import repro.engine  # noqa: F401  (pulls the compiled kernel in)
 
     return os.getpid()
 
@@ -91,14 +88,13 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int, verify: bool,
-                 engine_backend: str,
                  store_root: Optional[str]) -> None:
         self.workers = max(1, int(workers))
         self.submitted = 0
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_serve_pool_init,
-            initargs=(verify, engine_backend, store_root))
+            initargs=(verify, store_root))
 
     async def warm(self) -> list[int]:
         """Spin every worker up front; returns the worker pids seen."""

@@ -2,7 +2,7 @@
 
 Every structure the incremental engine maintains in place — cached
 capacitance totals, the patched RC network, the neighbor dependency
-index, the compiled stage kernels, the frozen Monte-Carlo factors, the
+index, the compiled analysis kernel, the frozen Monte-Carlo factors, the
 sensitivity cache — has a from-scratch definition.  Each oracle check
 recomputes that definition and diffs it against the maintained value,
 so a skipped dirty bit or a desynchronised cache surfaces as a *named*
@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.sensitivity import _what_if_parasitics
-from repro.engine.kernel import StageKernel
+from repro.engine.batched import BatchedNetworkKernel
 from repro.extract.capmodel import WireParasitics, extract_wire
 from repro.tech.ndr import rule_by_name
 from repro.timing.montecarlo import wire_variation_factors
@@ -194,10 +194,11 @@ def check_neighbor_index_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
 
 @register("kernel-sync", kind="oracle")
 def check_kernel_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
-    """Compiled stage kernels equal a fresh compile of today's network.
+    """The compiled kernel equals a fresh compile of today's network.
 
-    Rebuilds every :class:`StageKernel` from the current stages and
-    parasitics and diffs all patched-in-place arrays.  Requires an
+    Compiles a fresh :class:`BatchedNetworkKernel` from the current
+    network and parasitics and diffs every stage's patched-in-place
+    arrays (:meth:`~BatchedNetworkKernel.stage_view`).  Requires an
     engine in the context; silently skipped otherwise.
     """
     engine = ctx.engine
@@ -218,9 +219,10 @@ def check_kernel_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
             message=f"kernel has {engine.kernel.num_stages} stages; the "
                     f"network has {len(network.stages)}")
         return
-    for stage_idx, stage in enumerate(network.stages):
+    fresh = BatchedNetworkKernel(network, ctx.routing, ctx.extraction.wires)
+    for stage_idx in range(len(network.stages)):
         have = engine.kernel.stage_view(stage_idx)
-        want = StageKernel(stage, ctx.extraction.wires, ctx.routing)
+        want = fresh.stage_view(stage_idx)
         if have.wire_ids != want.wire_ids or have.n != want.n:
             yield Diagnostic(
                 rule="kernel-sync", severity=Severity.ERROR,
@@ -243,7 +245,7 @@ def check_kernel_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
                             f"index {worst}: {a[worst]:.9g} vs "
                             f"{b[worst]:.9g})",
                     stage=stage_idx,
-                    hint="patch_wire/retrim missed this stage kernel")
+                    hint="patch_wire/retrim missed this stage")
         for name in ("parent", "ent_node", "ent_col"):
             if not np.array_equal(getattr(have, name),
                                   getattr(want, name)):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import DesignSpec, generate_design
+from repro.designs import DesignSpec, generate_design
 from repro.core.flow import PhysicalDesign, build_physical_design
 from repro.tech import Technology, default_technology
 

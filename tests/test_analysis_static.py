@@ -20,7 +20,7 @@ from repro.analysis import (ContextStateSpec, StaticContext, WorkerGroup,
                             analyze_program, build_program,
                             build_static_context, unsuppressed_rationales)
 from repro.units import Dim
-from repro.engine.invariants import KernelParitySpec, StateInvariant
+from repro.engine.invariants import StateInvariant
 from repro.io.artifacts import STAGE_KEY_MANIFEST, StageKeyEntry
 from repro.verify import Severity, registered_checks
 
@@ -28,7 +28,6 @@ from repro.verify import Severity, registered_checks
 def _context(tmp_path, source, *, det_roots=("pkg.mod.stage",),
              proc_roots=(), whitelist=(), manifest=(), invariants=(),
              worker_groups=(), payload_types=(), context_specs=(),
-             kernel_parity=None, key_builders=(), backend_sources=(),
              dims_manifest=None, unit_constants=None, dim_roots=()):
     """Write ``source`` as ``pkg/mod.py`` and build a StaticContext."""
     pkg = tmp_path / "pkg"
@@ -42,9 +41,6 @@ def _context(tmp_path, source, *, det_roots=("pkg.mod.stage",),
                          worker_groups=worker_groups,
                          payload_types=payload_types,
                          context_specs=context_specs,
-                         kernel_parity=kernel_parity,
-                         key_builders=key_builders,
-                         backend_sources=backend_sources,
                          dimensions_manifest=dict(dims_manifest or {}),
                          unit_constants=dict(unit_constants or {}),
                          dim_signature_roots=tuple(dim_roots))
@@ -859,127 +855,6 @@ def test_s004_clean_when_initializer_installs(tmp_path):
     assert not analyze_program(ctx).diagnostics
 
 
-# -- B001: backend kernel-surface parity ---------------------------------------
-
-
-def test_b001_flags_signature_drift(tmp_path):
-    ctx = _context(tmp_path, """\
-        class DenseKernel:
-            def static_timing(self, slew=0.1):
-                return slew
-
-
-        class SparseKernel:
-            def static_timing(self, slew=0.2):
-                return slew
-        """, det_roots=(),
-        kernel_parity=KernelParitySpec(
-            classes=("pkg.mod.DenseKernel", "pkg.mod.SparseKernel"),
-            surface=("static_timing",)))
-    (diag,) = analyze_program(ctx).by_rule("B001")
-    assert diag.severity == Severity.ERROR
-    assert "drifts" in diag.message
-
-
-def test_b001_flags_missing_surface_method(tmp_path):
-    ctx = _context(tmp_path, """\
-        class DenseKernel:
-            def static_timing(self):
-                return 0.0
-
-            def crosstalk(self):
-                return 0.0
-
-
-        class SparseKernel:
-            def static_timing(self):
-                return 0.0
-        """, det_roots=(),
-        kernel_parity=KernelParitySpec(
-            classes=("pkg.mod.DenseKernel", "pkg.mod.SparseKernel"),
-            surface=("static_timing", "crosstalk")))
-    (diag,) = analyze_program(ctx).by_rule("B001")
-    assert "SparseKernel" in diag.message and "crosstalk" in diag.message
-
-
-def test_b001_clean_for_matching_surfaces(tmp_path):
-    ctx = _context(tmp_path, """\
-        class DenseKernel:
-            def static_timing(self, slew=0.1):
-                return slew
-
-            def crosstalk(self):
-                return 0.0
-
-
-        class SparseKernel:
-            def static_timing(self, slew=0.1):
-                return 2 * slew
-
-            def crosstalk(self):
-                return 1.0
-        """, det_roots=(),
-        kernel_parity=KernelParitySpec(
-            classes=("pkg.mod.DenseKernel", "pkg.mod.SparseKernel"),
-            surface=("static_timing", "crosstalk")))
-    assert not analyze_program(ctx).diagnostics
-
-
-# -- B002: backend selection must not feed cache keys --------------------------
-
-_B002_KWARGS = dict(det_roots=(),
-                    key_builders=("pkg.mod.content_key",),
-                    backend_sources=("pkg.mod.backend_name",))
-
-
-def test_b002_flags_backend_call_in_key_closure(tmp_path):
-    ctx = _context(tmp_path, """\
-        def backend_name():
-            return "dense"
-
-        def content_key(payload):
-            return hash(payload)
-
-        def cell_key(params):
-            return content_key((params.alpha, backend_name()))
-        """, **_B002_KWARGS)
-    (diag,) = analyze_program(ctx).by_rule("B002")
-    assert diag.severity == Severity.ERROR
-    assert "backend_name()" in diag.message
-
-
-def test_b002_flags_backend_name_attribute_read(tmp_path):
-    ctx = _context(tmp_path, """\
-        def backend_name():
-            return "dense"
-
-        def content_key(payload):
-            return hash(payload)
-
-        def cell_key(params, kernel):
-            return content_key((params.alpha, kernel.backend_name))
-        """, **_B002_KWARGS)
-    (diag,) = analyze_program(ctx).by_rule("B002")
-    assert "reads .backend_name" in diag.message
-
-
-def test_b002_clean_when_key_is_backend_blind(tmp_path):
-    ctx = _context(tmp_path, """\
-        def backend_name():
-            return "dense"
-
-        def content_key(payload):
-            return hash(payload)
-
-        def cell_key(params):
-            return content_key((params.alpha, params.beta))
-
-        def report(params):
-            return backend_name()
-        """, **_B002_KWARGS)
-    assert not analyze_program(ctx).diagnostics
-
-
 # -- static-config -------------------------------------------------------------
 
 
@@ -1017,13 +892,11 @@ def test_static_config_flags_unknown_stateful_config(tmp_path):
         payload_types=("pkg.mod.Missing",),
         context_specs=(ContextStateSpec(name="tracer",
                                         accessors=("pkg.mod.absent",),
-                                        installers=()),),
-        kernel_parity=KernelParitySpec(classes=("pkg.mod.NoKernel",),
-                                       surface=("static_timing",)))
+                                        installers=()),))
     messages = [d.message for d in analyze_program(ctx).by_rule("static-config")]
-    assert len(messages) == 6
+    assert len(messages) == 5
     for name in ("pkg.mod.Gone", "pkg.mod.nope", "pkg.mod.nada",
-                 "pkg.mod.Missing", "pkg.mod.absent", "pkg.mod.NoKernel"):
+                 "pkg.mod.Missing", "pkg.mod.absent"):
         assert any(name in m for m in messages)
 
 
@@ -1132,7 +1005,7 @@ def test_list_checks_includes_static_catalogue(capsys):
                  "C001", "C002", "C003",
                  "I001", "I002", "I003",
                  "S001", "S002", "S003", "S004",
-                 "B001", "B002", "static-config",
+                 "static-config",
                  "Q001", "Q002", "Q003", "Q004", "Q005",
                  "U001", "U002"):
         assert code in out
@@ -1146,7 +1019,7 @@ def test_static_checks_registered_under_static_kind():
         "C001", "C002", "C003",
         "I001", "I002", "I003",
         "S001", "S002", "S003", "S004",
-        "B001", "B002", "static-config",
+        "static-config",
         "Q001", "Q002", "Q003", "Q004", "Q005",
         "U001", "U002"}
     assert all(c.doc for c in static)

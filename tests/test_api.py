@@ -74,4 +74,4 @@ def test_lint_static_analyzes_sources():
     report = lint(LintRequest(static=True, paths=("src/repro",)))
     assert not report.has_errors, report.render()
     with pytest.raises(ValueError):
-        lint()
+        lint(LintRequest())

@@ -136,40 +136,19 @@ def test_content_key_discriminates_kind_and_fields():
     assert len(keys) == 4
 
 
-# -- deprecation shims --------------------------------------------------------
-
-
-def _computed(report):
-    """The report minus execution metadata (runtime, cache provenance)."""
-    import dataclasses
-
-    wire = dataclasses.asdict(report)
-    for cell in wire.get("cells", ()):
-        cell.pop("runtime_s", None)
-        cell.pop("cached", None)
-    return wire
-
-
-def test_legacy_compare_form_warns_and_matches(tiny_ref):
-    new = compare(CompareRequest(design=tiny_ref, slack=0.15))
-    with pytest.warns(DeprecationWarning, match="CompareRequest"):
-        old = compare(tiny_ref, slack=0.15)
-    # Identical CompareReports up to runtime/cache metadata.
-    assert _computed(old) == _computed(new)
-
-
-def test_legacy_sweep_form_warns_and_matches(tiny_ref):
-    new = sweep(SweepRequest(design=tiny_ref, slacks=(0.3,)))
-    with pytest.warns(DeprecationWarning, match="SweepRequest"):
-        old = sweep(tiny_ref, slacks=[0.3])
-    assert old == new  # SweepReports carry no runtime fields
+# -- entry-point argument checks ----------------------------------------------
 
 
 def test_request_form_rejects_stray_kwargs(tiny_ref):
-    with pytest.raises(TypeError, match="unexpected kwargs"):
+    with pytest.raises(TypeError, match="unexpected keyword"):
         compare(CompareRequest(design=tiny_ref), slack=0.2)
-    with pytest.raises(TypeError, match="unexpected kwargs"):
+    with pytest.raises(TypeError, match="unexpected keyword"):
         sweep(SweepRequest(design=tiny_ref), slacks=(0.1,))
+    # A bare design string is not a request.
+    with pytest.raises(TypeError, match="CompareRequest"):
+        compare(tiny_ref)
+    with pytest.raises(TypeError, match="SweepRequest"):
+        sweep(tiny_ref)
 
 
 # -- report wire form ---------------------------------------------------------

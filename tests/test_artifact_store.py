@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from repro.core.stages import BuildParams, build_stage
-from repro.bench import generate_design
+from repro.designs import generate_design
 from repro.io.artifacts import (ArtifactStore, content_key,
                                 design_fingerprint, fingerprint,
                                 technology_fingerprint)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import (DesignSpec, benchmark_suite, generate_design,
+from repro.designs import (DesignSpec, benchmark_suite, generate_design,
                          spec_by_name)
 from repro.netlist import CellKind
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import DesignSpec, generate_design
+from repro.designs import DesignSpec, generate_design
 from repro.core import Policy, run_flow
 from repro.core.flow import build_physical_design
 from repro.geom.avoid import route_avoiding, segment_blocked

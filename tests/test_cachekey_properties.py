@@ -83,21 +83,9 @@ def _hashed_fields() -> tuple[str, ...]:
 
 def test_manifest_covers_every_jobspec_field():
     # Every JobSpec field is declared hashed: the key has no blind
-    # spots.  engine_backend is the one documented exception: backends
-    # are verified bit-identical, so cells deliberately share cache
-    # entries across backends (see the C001 suppression in
-    # repro.runner.runner).
+    # spots.
     from dataclasses import fields
-    assert set(_hashed_fields()) == (
-        {f.name for f in fields(JobSpec)} - {"engine_backend"})
-
-
-def test_engine_backend_never_enters_the_key():
-    # The backend is a pure performance knob; switching it must hit the
-    # same cache entry.
-    job = JobSpec(design="ckt64", policy=Policy.SMART)
-    assert _key(job) == _key(replace(job, engine_backend="numpy-dense"))
-    assert _key(job) == _key(replace(job, engine_backend="numpy-sparse"))
+    assert set(_hashed_fields()) == {f.name for f in fields(JobSpec)}
 
 
 @settings(max_examples=40, deadline=None)

@@ -167,20 +167,6 @@ def test_trace_subcommand_rejects_bad_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_profile_flag_is_deprecated_trace_alias(tmp_path, capsys,
-                                                tiny_design):
-    from repro.io import save_design
-
-    design_path = tmp_path / "d.json"
-    save_design(tiny_design, design_path)
-    code = main(["--profile", "run", "--design", str(design_path),
-                 "--no-cache"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "deprecated" in captured.err
-    assert "phase breakdown" in captured.out
-
-
 def test_suite_json_flag_parses():
     args = build_parser().parse_args(["suite", "--json", "--jobs", "2"])
     assert args.command == "suite" and args.json and args.jobs == 2

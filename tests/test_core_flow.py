@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import generate_design
+from repro.designs import generate_design
 from repro.core import Policy, run_flow
 from repro.core.targets import RobustnessTargets
 

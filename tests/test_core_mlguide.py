@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench import DesignSpec, generate_design
+from repro.designs import DesignSpec, generate_design
 from repro.core import Policy, run_flow
 from repro.core.mlguide import RULE_CLASSES, NdrClassifierGuide
 

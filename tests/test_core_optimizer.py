@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import generate_design
+from repro.designs import generate_design
 from repro.core.evaluation import analyze_all, targets_from_reference
 from repro.core.flow import build_physical_design
 from repro.core.optimizer import SmartNdrOptimizer, _sink_dd_by_wire

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import generate_design
+from repro.designs import generate_design
 from repro.core.evaluation import analyze_all
 from repro.core.features import wire_contexts
 from repro.core.flow import build_physical_design

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import DesignSpec, generate_design
+from repro.designs import DesignSpec, generate_design
 from repro.core.flow import build_physical_design
 from repro.timing.arrival import analyze_clock_timing
 from repro.timing.crosstalk import (analyze_crosstalk,

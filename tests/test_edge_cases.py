@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import DesignSpec, generate_design
+from repro.designs import DesignSpec, generate_design
 from repro.core import Policy, run_flow
 from repro.core.flow import build_physical_design
 

@@ -1,11 +1,13 @@
-"""Backend registry behavior and cross-backend bit-identity.
+"""The batched engine against the reference analyzers, and under churn.
 
-The engine backends are not allowed to be merely *close*: the treeops
-primitives pin the float-addition order, so ``numpy-dense`` (per-stage
-kernels) and ``numpy-sparse`` (whole-design batched arenas) must agree
-``==``-exactly on every analysis, at every size, through any sequence
-of incremental updates.  These tests assert bitwise equality — no
-tolerances anywhere.
+Three layers of checks, from the primitives up:
+
+* the treeops sweeps equal the plain loops they replace, bit for bit;
+* over every registered corpus design of at most 1,024 sinks, the
+  engine's full analysis bundle equals the from-scratch reference
+  analyzers (``analyze_all`` without an engine) within 1e-9;
+* under random patch/retrim churn, the incrementally updated engine
+  equals a fresh engine compiled over the same extraction, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,18 +17,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import DesignSpec, generate_design, spec_by_name
+from repro.core.evaluation import analyze_all
 from repro.core.flow import build_physical_design
 from repro.core.targets import RobustnessTargets
 from repro.cts.refine import refine_skew
-from repro.engine import (AnalysisEngine, FrozenVariation,
-                          available_backends, get_backend, resolve_backend)
+from repro.designs import DesignSpec, generate_design, iter_specs
+from repro.engine import AnalysisEngine
 from repro.engine.treeops import (accumulate_downstream,
                                   accumulate_downstream_loop,
                                   accumulate_prefix, build_levels)
 from repro.extract.extractor import extract
 
-EQUIV_SIZES = ["ckt64", "ckt256", "ckt1024"]
+ATOL = 1e-9
+
+#: Designs whose build fails with "no blockage-avoiding route"; strict,
+#: so the marks must go when the routing defect is fixed.
+UNROUTABLE = {"soc_h256m", "imp_noc"}
+
+CORPUS = [
+    pytest.param(spec, id=spec.name, marks=pytest.mark.xfail(
+        raises=RuntimeError, strict=True,
+        reason="known routing defect: no blockage-avoiding route"))
+    if spec.name in UNROUTABLE else pytest.param(spec, id=spec.name)
+    for spec in iter_specs() if spec.n_sinks <= 1024]
 
 # Same shape as the conftest tiny fixture, but churn mutates its builds,
 # so every hypothesis example gets fresh ones.
@@ -116,74 +129,51 @@ def test_build_levels_rejects_non_topological_order():
         build_levels(np.array([-1, 2, 0], dtype=np.int64))
 
 
-# -- registry -----------------------------------------------------------------
+# -- engine vs the reference analyzers over the corpus ------------------------
 
 
-def test_registry_lists_builtin_backends():
-    assert {"numpy-dense", "numpy-sparse"} <= set(available_backends())
+def _close(a, b):
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=ATOL)
 
 
-def test_unknown_backend_raises_with_available_list():
-    with pytest.raises(KeyError, match="unknown engine backend"):
-        get_backend("cuda")
+@pytest.mark.parametrize("spec", CORPUS)
+def test_engine_matches_reference_over_corpus(spec, tech):
+    physical = build_physical_design(generate_design(spec), tech)
+    extraction = physical.extraction
+    freq = physical.design.clock_freq
+    targets = RobustnessTargets.for_period(physical.design.clock_period,
+                                           tech.max_slew)
+    ref = analyze_all(extraction, tech, freq, targets)
+    engine = AnalysisEngine(extraction, physical.tree, tech, freq, targets)
+    got = analyze_all(extraction, tech, freq, targets, engine=engine)
+
+    assert [s.pin.full_name for s in got.timing.sinks] \
+        == [s.pin.full_name for s in ref.timing.sinks]
+    _close([s.arrival for s in got.timing.sinks],
+           [s.arrival for s in ref.timing.sinks])
+    _close([s.slew for s in got.timing.sinks],
+           [s.slew for s in ref.timing.sinks])
+    _close(got.timing.stage_loads, ref.timing.stage_loads)
+    _close(got.timing.stage_delays, ref.timing.stage_delays)
+
+    _close([s.worst for s in got.crosstalk.sinks],
+           [s.worst for s in ref.crosstalk.sinks])
+    _close([s.expected for s in got.crosstalk.sinks],
+           [s.expected for s in ref.crosstalk.sinks])
+
+    assert [w.wire_id for w in got.em.wires] \
+        == [w.wire_id for w in ref.em.wires]
+    _close([w.i_eff for w in got.em.wires], [w.i_eff for w in ref.em.wires])
+    _close([w.utilization for w in got.em.wires],
+           [w.utilization for w in ref.em.wires])
+
+    assert got.power.p_total == ref.power.p_total
+    assert got.mc.sink_names == ref.mc.sink_names
+    _close(got.mc.arrivals, ref.mc.arrivals)
+    _close(got.mc.skew_samples, ref.mc.skew_samples)
 
 
-def test_numba_backend_is_import_gated():
-    from repro.engine.numba_backend import NUMBA_AVAILABLE
-    if NUMBA_AVAILABLE:  # pragma: no cover - not installed in CI
-        assert "numba" in available_backends()
-    else:
-        assert "numba" not in available_backends()
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            get_backend("numba")
-
-
-def test_resolve_backend_is_env_blind(monkeypatch):
-    """``resolve_backend`` never consults the environment.
-
-    The ``REPRO_ENGINE_BACKEND`` variable flows through the runner's
-    forwarded-variable seam (``default_backend_name`` called once per
-    job by ``_execute_job``), so the resolver itself must stay
-    deterministic in its arguments — the static analyzer (D003/S003)
-    enforces this for everything reachable from flow code.
-    """
-    monkeypatch.delenv("REPRO_ENGINE_BACKEND", raising=False)
-    assert resolve_backend(None).name == "numpy-sparse"
-    assert resolve_backend(True).name == "numpy-sparse"
-    assert resolve_backend("numpy-dense").name == "numpy-dense"
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "numpy-dense")
-    assert resolve_backend(None).name == "numpy-sparse"
-    assert resolve_backend(True).name == "numpy-sparse"
-    assert resolve_backend("numpy-sparse").name == "numpy-sparse"
-
-
-def test_default_backend_name_is_the_env_seam(monkeypatch):
-    from repro.engine.backends import default_backend_name
-
-    monkeypatch.delenv("REPRO_ENGINE_BACKEND", raising=False)
-    assert default_backend_name() == "numpy-sparse"
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "numpy-dense")
-    assert default_backend_name() == "numpy-dense"
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "")
-    assert default_backend_name() == "numpy-sparse"
-
-
-def test_engine_default_backend_is_sparse(tiny_physical, tech):
-    targets = RobustnessTargets.for_period(
-        tiny_physical.design.clock_period, tech.max_slew)
-    engine = AnalysisEngine(tiny_physical.extraction, tiny_physical.tree,
-                            tech, tiny_physical.design.clock_freq, targets)
-    assert engine.kernel.backend_name == "numpy-sparse"
-
-
-# -- cross-backend bit-identity over the size ladder --------------------------
-
-
-@pytest.fixture(scope="module", params=EQUIV_SIZES)
-def sized_physical(request, tech):
-    """One built design per ladder rung; treated as read-only."""
-    return build_physical_design(
-        generate_design(spec_by_name(request.param)), tech)
+# -- random churn keeps the engine equal to a fresh compile -------------------
 
 
 def _assert_timing_identical(a, b):
@@ -195,149 +185,87 @@ def _assert_timing_identical(a, b):
     assert a.stage_delays == b.stage_delays
 
 
-def test_backends_bit_identical_on_ladder(sized_physical, tech):
-    extraction = sized_physical.extraction
-    freq = sized_physical.design.clock_freq
-    kernels = [
-        get_backend(name).build(extraction.network, extraction.routing,
-                                extraction.wires)
-        for name in ("numpy-dense", "numpy-sparse")]
-    dense, sparse = kernels
-
-    _assert_timing_identical(dense.static_timing(tech),
-                             sparse.static_timing(tech))
-
-    xd = dense.crosstalk(alignment=0.5)
-    xs = sparse.crosstalk(alignment=0.5)
-    assert [s.pin.full_name for s in xd.sinks] \
-        == [s.pin.full_name for s in xs.sinks]
-    assert [s.worst for s in xd.sinks] == [s.worst for s in xs.sinks]
-    assert [s.expected for s in xd.sinks] \
-        == [s.expected for s in xs.sinks]
-
-    ed = dense.em(tech.vdd, freq)
-    es = sparse.em(tech.vdd, freq)
-    assert [w.wire_id for w in ed.wires] == [w.wire_id for w in es.wires]
-    assert [w.i_eff for w in ed.wires] == [w.i_eff for w in es.wires]
-    assert [w.utilization for w in ed.wires] \
-        == [w.utilization for w in es.wires]
-
-    frozen = FrozenVariation(extraction.network, extraction.routing,
-                             tech, n_samples=32, seed=7)
-    md = dense.monte_carlo(frozen)
-    ms = sparse.monte_carlo(frozen)
-    assert md.sink_names == ms.sink_names
-    assert np.array_equal(md.arrivals, ms.arrivals)
-    assert np.array_equal(md.skew_samples, ms.skew_samples)
-
-
-# -- random churn keeps backends locked together ------------------------------
-
-
 def _assert_bundles_bit_identical(a, b):
     _assert_timing_identical(a.timing, b.timing)
     assert [s.worst for s in a.crosstalk.sinks] \
         == [s.worst for s in b.crosstalk.sinks]
+    assert [s.expected for s in a.crosstalk.sinks] \
+        == [s.expected for s in b.crosstalk.sinks]
     assert [w.utilization for w in a.em.wires] \
         == [w.utilization for w in b.em.wires]
+    assert a.power.p_total == b.power.p_total
     assert np.array_equal(a.mc.arrivals, b.mc.arrivals)
 
 
-def _assert_invalidated(engine, stage_idx=None):
+def _assert_invalidated(engine):
     """Runtime twin of the static I001/I003 checks.
 
     After any mutation — before any analysis read — the engine-level
     derived caches must be dropped, and the kernel must be either
-    marked stale (sparse arena) or have dropped the mutated stage's
-    caches (dense per-stage kernels).
+    marked stale or have dropped its derived-array caches.
     """
     assert engine._timing is None and engine._xtalk is None
     assert engine._power is None and engine._mc is None
     kernel = engine.kernel
-    if kernel.backend_name == "numpy-sparse":
-        assert kernel._stale \
-            or (kernel._down is None and kernel._xtalk is None)
-    elif stage_idx is not None:
-        sk = kernel.stages[stage_idx]
-        assert sk._down is None and sk._timing is None \
-            and sk._xtalk is None
+    assert kernel._stale \
+        or (kernel._down is None and kernel._xtalk is None)
 
 
 def _assert_recomputed(engine):
     """After ``analyze()`` the caches are live again (the barrier ran)."""
     assert engine._timing is not None and engine._xtalk is not None
-    kernel = engine.kernel
-    if kernel.backend_name == "numpy-sparse":
-        assert not kernel._stale
+    assert not engine.kernel._stale
 
 
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_random_churn_keeps_backends_bit_identical(data):
-    """Random patch/retrim sequences leave the backends ``==``-equal.
+def test_random_churn_matches_a_fresh_engine(data):
+    """Random patch/retrim sequences leave the engine equal to a recompile.
 
-    Two engines — one per backend — receive the same mutation stream
-    (rule upgrades, shield toggles, skew re-trims) against identical
-    fresh builds; after every churn the full bundles must stay bitwise
-    identical.
+    One engine receives a mutation stream (rule upgrades, shield
+    toggles, skew re-trims); after every churn its full bundle must be
+    bitwise identical to a fresh :class:`AnalysisEngine` compiled over
+    the same, incrementally patched extraction.
     """
     from repro.tech import default_technology
 
     tech = default_technology()
     rules = sorted(tech.rules, key=lambda r: r.name.value)
-    engines, physicals = {}, {}
-    for name in ("numpy-dense", "numpy-sparse"):
-        phys = build_physical_design(generate_design(CHURN_SPEC), tech)
-        targets = RobustnessTargets.for_period(phys.design.clock_period,
-                                               tech.max_slew)
-        extraction = extract(phys.tree, phys.routing)
-        engines[name] = AnalysisEngine(extraction, phys.tree, tech,
-                                       phys.design.clock_freq, targets,
-                                       backend=name)
-        physicals[name] = phys
-    wire_ids = sorted(
-        w.wire_id for w in physicals["numpy-dense"].routing.clock_wires)
+    phys = build_physical_design(generate_design(CHURN_SPEC), tech)
+    freq = phys.design.clock_freq
+    targets = RobustnessTargets.for_period(phys.design.clock_period,
+                                           tech.max_slew)
+    engine = AnalysisEngine(extract(phys.tree, phys.routing), phys.tree,
+                            tech, freq, targets)
+    engine.analyze()  # prime every cache before the churn
+    wire_ids = sorted(w.wire_id for w in phys.routing.clock_wires)
 
     # Any tree node that owns a stage works for the no-op retrim probe.
-    trim_node = min(
-        engines["numpy-dense"].extraction.network.stage_of_tree_node)
+    trim_node = min(engine.extraction.network.stage_of_tree_node)
 
     n_ops = data.draw(st.integers(min_value=1, max_value=5))
     for _ in range(n_ops):
         op = data.draw(st.sampled_from(["rule", "shield", "trim"]))
         if op == "trim":
-            for name, engine in engines.items():
-                phys = physicals[name]
-                refine_skew(phys.tree, phys.routing, tech, engine=engine)
-                # refine_skew re-reads timing internally, so the
-                # invalidation oracle needs its own mutation: a no-op
-                # retrim of one stage (current trim values) must still
-                # mark the arena stale before any analysis read.
-                engine.rebuild_stages([trim_node])
-                stage_idx = \
-                    engine.extraction.network.stage_of_tree_node[trim_node]
-                _assert_invalidated(engine, stage_idx)
+            refine_skew(phys.tree, phys.routing, tech, engine=engine)
+            # refine_skew re-reads timing internally, so the
+            # invalidation oracle needs its own mutation: a no-op
+            # retrim of one stage (current trim values) must still
+            # mark the arena stale before any analysis read.
+            engine.rebuild_stages([trim_node])
         else:
             wid = wire_ids[data.draw(
                 st.integers(min_value=0, max_value=len(wire_ids) - 1))]
             rule = rules[data.draw(
                 st.integers(min_value=0, max_value=len(rules) - 1))]
-            for name, engine in engines.items():
-                routing = physicals[name].routing
-                if op == "rule":
-                    routing.assign_rule(wid, rule)
-                else:
-                    routing.assign_shield(wid, True)
-                engine.apply_rule_changes([wid])
-                stage_idx = engine.extraction.network.wire_stage(wid)
-                _assert_invalidated(engine, stage_idx)
-        bundles = {name: engine.analyze()
-                   for name, engine in engines.items()}
-        for engine in engines.values():
-            _assert_recomputed(engine)
-        _assert_bundles_bit_identical(bundles["numpy-dense"],
-                                      bundles["numpy-sparse"])
-
-    bundles = {name: engine.analyze() for name, engine in engines.items()}
-    _assert_bundles_bit_identical(bundles["numpy-dense"],
-                                  bundles["numpy-sparse"])
+            if op == "rule":
+                phys.routing.assign_rule(wid, rule)
+            else:
+                phys.routing.assign_shield(wid, True)
+            engine.apply_rule_changes([wid])
+        _assert_invalidated(engine)
+        churned = engine.analyze()
+        _assert_recomputed(engine)
+        fresh = AnalysisEngine(engine.extraction, phys.tree, tech, freq,
+                               targets).analyze()
+        _assert_bundles_bit_identical(churned, fresh)

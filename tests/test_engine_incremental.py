@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench import generate_design
+from repro.designs import generate_design
 from repro.core.evaluation import analyze_all
 from repro.core.flow import build_physical_design
 from repro.core.optimizer import SmartNdrOptimizer
@@ -21,7 +21,7 @@ from repro.core.sensitivity import (SensitivityCache, _what_if_parasitics,
                                     rule_sensitivities)
 from repro.core.targets import RobustnessTargets
 from repro.cts.refine import refine_skew
-from repro.engine import AnalysisEngine, FrozenVariation, get_backend
+from repro.engine import AnalysisEngine, BatchedNetworkKernel, FrozenVariation
 from repro.extract.extractor import extract, incremental_re_extract
 from repro.reliability.em import DEFAULT_EM_FACTOR, analyze_em
 from repro.timing.arrival import analyze_clock_timing
@@ -38,15 +38,9 @@ def physical(request, tech):
     return build_physical_design(generate_design(spec), tech)
 
 
-@pytest.fixture(params=["numpy-dense", "numpy-sparse"])
-def backend(request):
-    """Every registered backend must pass the legacy-equivalence bar."""
-    return request.param
-
-
-def _kernel(backend, extraction):
-    return get_backend(backend).build(extraction.network,
-                                      extraction.routing, extraction.wires)
+def _kernel(extraction):
+    return BatchedNetworkKernel(extraction.network, extraction.routing,
+                                extraction.wires)
 
 
 def _targets(physical, tech):
@@ -82,9 +76,9 @@ def _some_clock_wires(routing, n):
 # -- kernel analyses vs legacy ------------------------------------------------
 
 
-def test_kernel_static_timing_matches_legacy(physical, tech, backend):
+def test_kernel_static_timing_matches_legacy(physical, tech):
     extraction = physical.extraction
-    kernel = _kernel(backend, extraction)
+    kernel = _kernel(extraction)
     legacy = analyze_clock_timing(extraction.network, tech)
     fast = kernel.static_timing(tech)
     assert fast.latency == pytest.approx(legacy.latency, abs=ATOL)
@@ -96,10 +90,10 @@ def test_kernel_static_timing_matches_legacy(physical, tech, backend):
         assert fs.slew == pytest.approx(ls.slew, abs=ATOL)
 
 
-def test_kernel_crosstalk_and_em_match_legacy(physical, tech, backend):
+def test_kernel_crosstalk_and_em_match_legacy(physical, tech):
     extraction = physical.extraction
     freq = physical.design.clock_freq
-    kernel = _kernel(backend, extraction)
+    kernel = _kernel(extraction)
 
     legacy_x = analyze_crosstalk(extraction.network, extraction.wires,
                                  alignment=0.5)
@@ -119,13 +113,13 @@ def test_kernel_crosstalk_and_em_match_legacy(physical, tech, backend):
     assert fast_em.num_violations == legacy_em.num_violations
 
 
-def test_kernel_monte_carlo_reproduces_legacy_draws(physical, tech, backend):
+def test_kernel_monte_carlo_reproduces_legacy_draws(physical, tech):
     """Same seed -> bitwise-equivalent sampling, arrivals within 1e-9."""
     extraction = physical.extraction
     legacy = run_monte_carlo(extraction.network, extraction.wires,
                              extraction.routing, tech,
                              n_samples=64, seed=11)
-    kernel = _kernel(backend, extraction)
+    kernel = _kernel(extraction)
     frozen = FrozenVariation(extraction.network, extraction.routing, tech,
                              n_samples=64, seed=11)
     fast = kernel.monte_carlo(frozen)
@@ -164,7 +158,7 @@ def test_incremental_re_extract_matches_full(physical, tech):
         fresh.clock_coupling_cap, abs=ATOL)
 
 
-def test_engine_incremental_equals_full_analysis(physical, tech, backend):
+def test_engine_incremental_equals_full_analysis(physical, tech):
     """Rule + shield churn through the engine == from-scratch analysis."""
     routing = physical.routing
     freq = physical.design.clock_freq
@@ -172,8 +166,7 @@ def test_engine_incremental_equals_full_analysis(physical, tech, backend):
     ndr = max(tech.rules, key=lambda r: r.width_mult)
 
     extraction = extract(physical.tree, routing)
-    engine = AnalysisEngine(extraction, physical.tree, tech, freq, targets,
-                            backend=backend)
+    engine = AnalysisEngine(extraction, physical.tree, tech, freq, targets)
     engine.analyze()  # prime every cache before the churn
 
     touched = _some_clock_wires(routing, 6)
@@ -194,7 +187,7 @@ def test_engine_incremental_equals_full_analysis(physical, tech, backend):
     _assert_bundles_match(incremental, fresh)
 
 
-def test_engine_trim_path_equals_full_analysis(physical, tech, backend):
+def test_engine_trim_path_equals_full_analysis(physical, tech):
     """refine_skew driving the engine == refine_skew from scratch."""
     freq = physical.design.clock_freq
     targets = _targets(physical, tech)
@@ -202,8 +195,7 @@ def test_engine_trim_path_equals_full_analysis(physical, tech, backend):
     routing = physical.routing
 
     extraction = extract(physical.tree, routing)
-    engine = AnalysisEngine(extraction, physical.tree, tech, freq, targets,
-                            backend=backend)
+    engine = AnalysisEngine(extraction, physical.tree, tech, freq, targets)
     for wire_id in _some_clock_wires(routing, 3):
         routing.assign_rule(wire_id, ndr)
         engine.apply_rule_changes([wire_id])
@@ -218,8 +210,7 @@ def test_engine_trim_path_equals_full_analysis(physical, tech, backend):
     _assert_bundles_match(incremental, fresh)
 
 
-def test_pickled_engine_keeps_frozen_views_live(make_tiny_physical, tech,
-                                                backend):
+def test_pickled_engine_keeps_frozen_views_live(make_tiny_physical, tech):
     """A stored-and-loaded engine's frozen views still alias its matrices.
 
     The per-wire and per-stage factor views must share memory with the
@@ -235,9 +226,8 @@ def test_pickled_engine_keeps_frozen_views_live(make_tiny_physical, tech,
     freq = physical.design.clock_freq
     targets = _targets(physical, tech)
     extraction = extract(physical.tree, physical.routing)
-    engine = AnalysisEngine(extraction, physical.tree, tech, freq, targets,
-                            backend=backend)
-    engine.analyze()  # prime every cache, the stacked stage scales too
+    engine = AnalysisEngine(extraction, physical.tree, tech, freq, targets)
+    engine.analyze()  # prime every cache
     loaded = pickle.loads(pickle.dumps(engine))
 
     frozen = loaded.frozen
@@ -269,7 +259,7 @@ def test_pickled_engine_keeps_frozen_views_live(make_tiny_physical, tech,
     mc = loaded.analyze().mc
     assert np.array_equal(mc.skew_samples, engine.analyze().mc.skew_samples)
     fresh = AnalysisEngine(loaded.extraction, loaded.tree, tech, freq,
-                           targets, backend=backend).analyze().mc
+                           targets).analyze().mc
     assert mc.skew_3sigma == pytest.approx(fresh.skew_3sigma, abs=ATOL)
     np.testing.assert_allclose(mc.skew_samples, fresh.skew_samples,
                                rtol=0.0, atol=ATOL)
@@ -282,25 +272,22 @@ def test_pickled_engine_keeps_frozen_views_live(make_tiny_physical, tech,
 
 
 def test_optimizer_engine_matches_legacy_run(make_small_physical, tech):
-    """Every engine backend makes the legacy run's decisions end to end."""
+    """The engine makes the legacy run's decisions end to end."""
     results = {}
-    for use_engine in (False, "numpy-dense", "numpy-sparse"):
+    for use_engine in (False, True):
         phys = make_small_physical()
         targets = _targets(phys, tech)
         opt = SmartNdrOptimizer(phys.tree, phys.routing, tech, targets,
                                 phys.design.clock_freq,
                                 use_engine=use_engine)
         results[use_engine] = opt.run(phys.extraction)
-    legacy = results[False]
+    legacy, fast = results[False], results[True]
     assert legacy.engine is None
-    for name in ("numpy-dense", "numpy-sparse"):
-        fast = results[name]
-        assert fast.upgraded == legacy.upgraded
-        assert fast.downgraded == legacy.downgraded
-        assert fast.iterations == legacy.iterations
-        assert fast.engine is not None
-        assert fast.engine.backend.name == name
-        _assert_bundles_match(fast.analyses, legacy.analyses)
+    assert fast.upgraded == legacy.upgraded
+    assert fast.downgraded == legacy.downgraded
+    assert fast.iterations == legacy.iterations
+    assert fast.engine is not None
+    _assert_bundles_match(fast.analyses, legacy.analyses)
 
 
 # -- sensitivity cache --------------------------------------------------------

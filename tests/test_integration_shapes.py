@@ -8,7 +8,7 @@ asserted.
 
 import pytest
 
-from repro.bench import spec_by_name, generate_design
+from repro.designs import spec_by_name, generate_design
 from repro.core import Policy, run_flow, targets_from_reference
 
 

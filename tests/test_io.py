@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench import DesignSpec, generate_design
+from repro.designs import DesignSpec, generate_design
 from repro.core.flow import build_physical_design
 from repro.io import (apply_rule_assignment, design_from_dict,
                       design_to_dict, load_design, load_rule_assignment,

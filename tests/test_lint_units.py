@@ -1,28 +1,24 @@
-"""Tests for the unit-hygiene linter shim (tools/lint_units.py).
+"""Tests for the standalone unit-hygiene linter.
 
-The implementation lives in :mod:`repro.analysis.rules_units`; these
-tests exercise the standalone entry point CI calls, including both the
-legacy ``# lint-units: ok`` marker and the shared ``# static: ok[U00x]``
-suppression syntax.
+The U001/U002 scanners live in :mod:`repro.analysis.rules_units`;
+these tests exercise its path-based API and the ``main()`` entry point
+CI calls, including the shared ``# static: ok[U00x]`` suppression
+syntax.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
-sys.path.insert(0, str(TOOLS))
-
-import lint_units  # noqa: E402
+from repro.analysis import rules_units
 
 
 def _lint_source(tmp_path: Path, source: str, name: str = "sample.py"):
     path = tmp_path / name
     path.write_text(source)
-    return lint_units.lint_file(path)
+    return rules_units.lint_file(path)
 
 
 def test_u001_flags_float_literal_equality(tmp_path):
@@ -61,15 +57,6 @@ def test_u002_exempts_units_module(tmp_path):
     assert _lint_source(tmp_path, "NS = 1000.0\n", name="units.py") == []
 
 
-def test_suppression_marker_silences_the_line(tmp_path):
-    findings = _lint_source(
-        tmp_path,
-        "a = 1000.0  # lint-units: ok\n"
-        "b = x == 1.0  # lint-units: ok\n"
-        "c = 1000.0\n")
-    assert [f.line for f in findings] == [3]
-
-
 def test_static_ok_marker_silences_the_matching_code(tmp_path):
     findings = _lint_source(
         tmp_path,
@@ -85,13 +72,6 @@ def test_static_ok_marker_is_code_specific(tmp_path):
     assert [f.rule for f in findings] == ["U001"]
 
 
-def test_shim_reexports_the_analysis_module():
-    from repro.analysis import rules_units
-    assert lint_units.lint_file is rules_units.lint_file
-    assert lint_units.Finding is rules_units.Finding
-    assert lint_units.main is rules_units.main
-
-
 def test_syntax_error_reported_as_u000(tmp_path):
     findings = _lint_source(tmp_path, "def broken(:\n")
     assert [f.rule for f in findings] == ["U000"]
@@ -100,11 +80,11 @@ def test_syntax_error_reported_as_u000(tmp_path):
 def test_main_exit_codes(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    assert lint_units.main([str(clean)]) == 0
+    assert rules_units.main([str(clean)]) == 0
 
     dirty = tmp_path / "dirty.py"
     dirty.write_text("if x == 0.0:\n    pass\n")
-    assert lint_units.main([str(dirty)]) == 1
+    assert rules_units.main([str(dirty)]) == 1
     out = capsys.readouterr()
     assert "U001" in out.out
     assert "1 finding(s)" in out.err
@@ -112,20 +92,20 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_repo_sources_are_clean():
     repo = Path(__file__).resolve().parent.parent
-    findings = lint_units.lint_paths([repo / "src", repo / "tools"])
+    findings = rules_units.lint_paths([repo / "src", repo / "tools"])
     assert not findings, "\n".join(f.render() for f in findings)
 
 
 def test_default_paths_cover_benchmarks_too():
     repo = Path(__file__).resolve().parent.parent
-    defaults = lint_units.default_paths()
+    defaults = rules_units.default_paths()
     assert repo / "src" in defaults
     assert repo / "tools" in defaults
     assert repo / "benchmarks" in defaults
 
 
 def test_main_without_args_lints_the_default_trees(capsys):
-    assert lint_units.main([]) == 0
+    assert rules_units.main([]) == 0
     assert capsys.readouterr().out == ""
 
 

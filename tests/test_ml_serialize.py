@@ -65,7 +65,7 @@ def test_unfitted_forest_rejected():
 
 
 def test_guide_save_load(tmp_path, tech):
-    from repro.bench import DesignSpec, generate_design
+    from repro.designs import DesignSpec, generate_design
     from repro.core.mlguide import NdrClassifierGuide
     from repro.core.flow import build_physical_design
 

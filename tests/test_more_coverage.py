@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import DesignSpec, generate_design
+from repro.designs import DesignSpec, generate_design
 from repro.core import Policy
 from repro.core.multiclock import run_multiclock_flow, split_domains
 from repro.power.gating import GatingPlan, stage_activities

@@ -1,4 +1,4 @@
-"""Structured observability: spans, metrics, propagation, perf shim."""
+"""Structured observability: spans, metrics, propagation."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.core import Policy
 from repro.obs.export import (TraceSchemaError, export_jsonl, load_trace,
                               trace_digest)
@@ -253,7 +253,7 @@ def test_worker_trace_shape_matches_in_process(tiny_ref):
 def test_traced_runner_counts_each_cell_exactly_once(tiny_ref):
     """Identity adoption regression: in-process cells (serial path /
     cache fallback) must not be folded into the session totals twice,
-    which the old perf.capture flat name-keyed merge did."""
+    which a flat name-keyed merge would do."""
     tracer = obs.enable("serial")
     runner = FlowRunner(store=None)
     results = runner.run([JobSpec(design=tiny_ref, policy=Policy.NO_NDR),
@@ -325,47 +325,3 @@ def test_cached_rerun_metrics_report_cache_hits(tmp_path, tiny_ref):
     assert cold["artifacts.saves"]["value"] >= 2
 
 
-# -- perf compatibility shim ---------------------------------------------------
-
-
-def test_perf_enable_is_deprecated_view_over_spans():
-    with pytest.warns(DeprecationWarning):
-        timer = perf.enable()
-    with perf.phase("x"):
-        with perf.phase("y"):
-            pass
-    with perf.phase("x"):
-        pass
-    tracer = obs.active()
-    assert tracer is not None
-    span_totals = tracer.phase_totals()
-    assert timer.counts == {"x": 2, "y": 1}
-    assert timer.totals["x"] == pytest.approx(span_totals["x"]["seconds"])
-    snap = timer.as_dict()
-    assert snap["x"]["calls"] == 2
-    assert "x" in timer.report()
-    perf.disable()
-    assert perf.active() is None and obs.active() is None
-
-
-def test_perf_capture_yields_block_phases_and_reroots():
-    with pytest.warns(DeprecationWarning):
-        session = perf.enable()
-    with pytest.warns(DeprecationWarning):
-        with perf.capture() as inner:
-            with perf.phase("work"):
-                pass
-            assert inner.counts == {"work": 1}
-    # The session still sees the captured phase — exactly once.
-    assert session.counts["work"] == 1
-    perf.disable()
-
-
-def test_perf_timer_merge_accepts_legacy_snapshots():
-    with pytest.warns(DeprecationWarning):
-        timer = perf.enable()
-    timer.merge({"legacy": {"seconds": 1.5, "calls": 3}})
-    timer.add("legacy", 0.5)
-    assert timer.counts["legacy"] == 4
-    assert timer.totals["legacy"] == pytest.approx(2.0)
-    perf.disable()

@@ -191,20 +191,13 @@ def test_pool_initializer_forwards_verify_env(tech, monkeypatch):
     from repro.runner import runner as runner_mod
 
     monkeypatch.delenv("REPRO_VERIFY_FLOWS", raising=False)
-    previous_backend = os.environ.get("REPRO_ENGINE_BACKEND")
-    runner_mod._pool_init(tech, None, True, None, False, "numpy-sparse")
+    before = dict(os.environ)
+    runner_mod._pool_init(tech, None, True, None, False)
     assert os.environ.get("REPRO_VERIFY_FLOWS") == "1"
-    # The captured backend selection is replayed into the worker, so
-    # forked workers agree with the parent even if the parent's env
-    # changes between fork and job execution.
-    assert os.environ.get("REPRO_ENGINE_BACKEND") == "numpy-sparse"
-    runner_mod._pool_init(tech, None, False, None, False, "numpy-dense")
+    runner_mod._pool_init(tech, None, False, None, False)
     assert "REPRO_VERIFY_FLOWS" not in os.environ
-    assert os.environ.get("REPRO_ENGINE_BACKEND") == "numpy-dense"
-    if previous_backend is None:
-        del os.environ["REPRO_ENGINE_BACKEND"]
-    else:
-        os.environ["REPRO_ENGINE_BACKEND"] = previous_backend
+    # REPRO_VERIFY_FLOWS is the only variable the initializer forwards.
+    assert dict(os.environ) == before
     monkeypatch.setenv("REPRO_VERIFY_FLOWS", "1")  # restore for the suite
 
 

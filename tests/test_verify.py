@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.bench import generate_design
+from repro.designs import generate_design
 from repro.core.flow import run_flow
 from repro.core.optimizer import SmartNdrOptimizer
 from repro.core.policies import Policy
@@ -307,8 +307,8 @@ def test_neighbor_index_sync_fires_on_stale_record(make_tiny_physical):
 
 
 def test_kernel_sync_fires_on_stale_array(engine_ctx):
-    # stage_view float arrays alias live kernel storage on every
-    # backend, so this mutation corrupts the real compiled state
+    # stage_view float arrays alias live kernel storage, so this
+    # mutation corrupts the real compiled state
     kernel_stage = engine_ctx.engine.kernel.stage_view(0)
     kernel_stage.cap_fixed[0] += 1.0
     report = run_checks(engine_ctx, rules=["kernel-sync"])

@@ -35,7 +35,7 @@ _LEVELS = {"ERROR": "error", "WARN": "warning", "INFO": "notice"}
 
 
 def _source_path(package_root: Path, module: str) -> Path | None:
-    """``repro.engine.backends`` -> ``src/repro/engine/backends.py``."""
+    """``repro.engine.batched`` -> ``src/repro/engine/batched.py``."""
     parts = module.split(".")
     if not parts or parts[0] != package_root.name:
         return None
