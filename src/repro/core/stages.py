@@ -142,7 +142,7 @@ def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
         if policy == Policy.SMART_ML:
             if guide is None:
                 raise ValueError("Policy.SMART_ML requires a fitted guide")
-            return guide.assign(tree, routing, tech, targets, freq)
+            return guide.assign(physical, targets)
         raise ValueError(f"unhandled policy {policy}")  # pragma: no cover
 
 

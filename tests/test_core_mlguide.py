@@ -40,10 +40,10 @@ def test_training_stats(guide):
     assert stats.label_counts["W1S1"] > 0  # default dominates
 
 
-def test_unfitted_guide_raises(tech, tiny_physical):
+def test_unfitted_guide_raises(tiny_physical):
     g = NdrClassifierGuide()
     with pytest.raises(RuntimeError):
-        g.predict_rules(tiny_physical.tree, tiny_physical.routing, tech, 1.0)
+        g.predict_rules(tiny_physical)
 
 
 def test_fit_requires_designs(tech):
@@ -51,9 +51,9 @@ def test_fit_requires_designs(tech):
         NdrClassifierGuide().fit_designs([], tech)
 
 
-def test_predictions_are_valid_rules(guide, make_tiny_physical, tech):
+def test_predictions_are_valid_rules(guide, make_tiny_physical):
     phys = make_tiny_physical()
-    predictions = guide.predict_rules(phys.tree, phys.routing, tech, 1.0)
+    predictions = guide.predict_rules(phys)
     assert predictions
     assert set(predictions.values()) <= set(RULE_CLASSES)
 

@@ -77,8 +77,8 @@ def test_guide_save_load(tmp_path, tech):
     loaded = NdrClassifierGuide.load(path)
     assert loaded.stats.n_samples == guide.stats.n_samples
     phys = build_physical_design(generate_design(spec), tech)
-    a = guide.predict_rules(phys.tree, phys.routing, tech, 1.0)
-    b = loaded.predict_rules(phys.tree, phys.routing, tech, 1.0)
+    a = guide.predict_rules(phys)
+    b = loaded.predict_rules(phys)
     assert a == b
 
 

@@ -301,6 +301,21 @@ def test_full_extractions_show_where_they_run(tiny_design, tech):
     assert "flow.build" in parents[0] and "flow.retrim" in parents[1]
 
 
+def test_guided_flow_extracts_once_in_the_build(tiny_design, tech):
+    """The ML guide predicts on the build's extraction and patches it
+    for its repair pass instead of extracting the routing again."""
+    from repro.core.flow import run_flow
+    from repro.core.mlguide import NdrClassifierGuide
+
+    guide = NdrClassifierGuide(n_trees=3, seed=1)
+    guide.fit_designs([tiny_design], tech)
+    tracer = obs.enable("extract-guided")
+    run_flow(tiny_design, tech, policy=Policy.SMART_ML, guide=guide)
+    full = [r for r in tracer.records if r.name == "extract.full"]
+    assert len(full) == 1
+    assert "flow.build" in _ancestors(tracer, full[0])
+
+
 def test_cached_rerun_metrics_report_cache_hits(tmp_path, tiny_ref):
     """Warm rerun: every cell served from the store, and the metric
     registry says so (cells_cached + artifact hits, no computes)."""
