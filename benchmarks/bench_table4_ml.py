@@ -21,6 +21,7 @@ import numpy as np
 from conftest import ML_TRAIN_DESIGNS, emit
 from repro.designs import generate_design, spec_by_name
 from repro.core import Policy
+from repro.core.flow import build_physical_design
 from repro.core.mlguide import RULE_CLASSES
 from repro.ml.metrics import accuracy, precision, recall
 from repro.reporting import Table
@@ -47,9 +48,10 @@ def _build_table(matrix) -> Table:
         ml_flow = matrix.flow(name, Policy.SMART_ML)
         greedy_flow = matrix.flow(name, Policy.SMART)
 
-        predictions = guide.predict_rules(
-            greedy_flow.physical.tree, greedy_flow.physical.routing,
-            matrix.tech, generate_design(spec_by_name(name)).clock_freq)
+        # The guide predicts on the default-rule build, as in a flow.
+        build = build_physical_design(generate_design(spec_by_name(name)),
+                                      matrix.tech, store=matrix.runner.store)
+        predictions = guide.predict_rules(build)
 
         common = sorted(set(teacher) & set(predictions))
         label_of = {r: i for i, r in enumerate(RULE_CLASSES)}
