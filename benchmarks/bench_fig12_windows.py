@@ -16,7 +16,6 @@ from conftest import emit
 from repro.designs import generate_design, spec_by_name
 from repro.core.flow import build_physical_design
 from repro.reporting import ExperimentRecord
-from repro.timing.arrival import analyze_clock_timing
 from repro.timing.crosstalk import analyze_crosstalk, analyze_crosstalk_windows
 
 SENSITIVITIES = (10.0, 30.0, 60.0, 120.0, 240.0)
@@ -28,7 +27,7 @@ def _run(tech) -> ExperimentRecord:
     design = generate_design(spec)
     phys = build_physical_design(design, tech)
     ext = phys.extraction
-    timing = analyze_clock_timing(ext.network, tech)
+    timing = phys.refine.timing
 
     record = ExperimentRecord(
         "fig12", "timing-window pruning of expected crosstalk (ckt256w)",

@@ -11,7 +11,6 @@ from conftest import corpus_specs, emit, suite_specs
 from repro.designs import generate_design
 from repro.core.flow import build_physical_design
 from repro.reporting import Table
-from repro.timing import analyze_clock_timing
 
 
 def _build_table(tech, specs, title) -> Table:
@@ -22,7 +21,7 @@ def _build_table(tech, specs, title) -> Table:
     for spec in specs:
         design = generate_design(spec)
         phys = build_physical_design(design, tech)
-        timing = analyze_clock_timing(phys.extraction.network, tech)
+        timing = phys.refine.timing
         depth = max(phys.tree.depth(leaf.node_id)
                     for leaf in phys.tree.leaves())
         table.add_row(

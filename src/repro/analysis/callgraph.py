@@ -131,13 +131,6 @@ class ProgramModel:
     #: Lazily filled caches (reachability, effects, param reads).
     caches: dict[str, object] = field(default_factory=dict)
 
-    def module_of(self, qualname: str) -> Optional[ModuleInfo]:
-        """The module a qualified function/class name lives in."""
-        info = self.functions.get(qualname) or self.classes.get(qualname)
-        if info is None:
-            return None
-        return self.modules.get(info.module)
-
     def callees(self, qualname: str) -> Iterator[CallSite]:
         """All resolved in-program call sites of one function."""
         fn = self.functions.get(qualname)

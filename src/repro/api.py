@@ -412,9 +412,21 @@ def run(request: FlowRequest, *, jobs: int = 1, store: Any = True,
                                        return_flow=False))
 
 
-def _compare_impl(request: CompareRequest, jobs: int, store: Any,
-                  tech: Optional[Technology],
-                  guide: Optional[NdrClassifierGuide]) -> CompareReport:
+def compare(request: CompareRequest, *, jobs: int = 1,
+            store: Any = True, tech: Optional[Technology] = None,
+            guide: Optional[NdrClassifierGuide] = None) -> CompareReport:
+    """Compare NO/ALL/SMART (and optionally ML) policies on one design.
+
+    Takes a :class:`CompareRequest` (the schema) plus execution-only
+    options: ``jobs`` fans cells over worker processes; ``store``
+    accepts anything :class:`~repro.runner.FlowRunner` does (``True``
+    for the per-user artifact cache, ``False``/``None`` to disable, a
+    path, or a live store); with ``with_ml`` a guide is trained inline
+    unless one is passed.
+    """
+    if not isinstance(request, CompareRequest):
+        raise TypeError("compare() takes a CompareRequest, e.g. "
+                        "compare(CompareRequest(design='ckt64'))")
     policies = [Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART]
     if request.with_ml:
         if guide is None:
@@ -433,26 +445,17 @@ def _compare_impl(request: CompareRequest, jobs: int, store: Any,
                          cells=tuple(_cell_report(r) for r in results))
 
 
-def compare(request: CompareRequest, *, jobs: int = 1,
-            store: Any = True, tech: Optional[Technology] = None,
-            guide: Optional[NdrClassifierGuide] = None) -> CompareReport:
-    """Compare NO/ALL/SMART (and optionally ML) policies on one design.
+def sweep(request: SweepRequest, *, jobs: int = 1, store: Any = True,
+          tech: Optional[Technology] = None) -> SweepReport:
+    """Sweep the budget slack for the smart policy on one design.
 
-    Takes a :class:`CompareRequest` (the schema) plus execution-only
-    options: ``jobs`` fans cells over worker processes; ``store``
-    accepts anything :class:`~repro.runner.FlowRunner` does (``True``
-    for the per-user artifact cache, ``False``/``None`` to disable, a
-    path, or a live store); with ``with_ml`` a guide is trained inline
-    unless one is passed.
+    The all-NDR reference is computed once and every slack's budgets
+    derive from it — a sweep costs one reference plus one smart flow
+    per point.  Takes a :class:`SweepRequest`.
     """
-    if not isinstance(request, CompareRequest):
-        raise TypeError("compare() takes a CompareRequest, e.g. "
-                        "compare(CompareRequest(design='ckt64'))")
-    return _compare_impl(request, jobs, store, tech, guide)
-
-
-def _sweep_impl(request: SweepRequest, jobs: int, store: Any,
-                tech: Optional[Technology]) -> SweepReport:
+    if not isinstance(request, SweepRequest):
+        raise TypeError("sweep() takes a SweepRequest, e.g. "
+                        "sweep(SweepRequest(design='ckt64'))")
     ordered = sorted(request.slacks, reverse=True)
     runner = _runner(tech, store, jobs, None)
     matrix = RunMatrix(designs=(request.design,), policies=(Policy.SMART,),
@@ -470,22 +473,21 @@ def _sweep_impl(request: SweepRequest, jobs: int, store: Any,
     return SweepReport(design=request.design, points=tuple(points))
 
 
-def sweep(request: SweepRequest, *, jobs: int = 1, store: Any = True,
-          tech: Optional[Technology] = None) -> SweepReport:
-    """Sweep the budget slack for the smart policy on one design.
+def lint(request: LintRequest, *, tech: Optional[Technology] = None) -> Any:
+    """Run the verifier: a flow's DRC/ERC + oracle checks, or static.
 
-    The all-NDR reference is computed once and every slack's budgets
-    derive from it — a sweep costs one reference plus one smart flow
-    per point.  Takes a :class:`SweepRequest`.
+    With ``LintRequest(static=True)`` the whole-program determinism /
+    cache-soundness analyzer runs over ``paths`` (default: the
+    installed package) and the flow fields are ignored; ``codes``
+    restricts the run to rule families by ``fnmatch`` pattern
+    (``codes=("Q*",)`` runs only the dimension checks).  Returns the
+    report object (:class:`~repro.verify.VerifyReport` or the static
+    analyzer's report) — both expose ``has_errors``, ``render()`` and
+    ``to_json()``.
     """
-    if not isinstance(request, SweepRequest):
-        raise TypeError("sweep() takes a SweepRequest, e.g. "
-                        "sweep(SweepRequest(design='ckt64'))")
-    return _sweep_impl(request, jobs, store, tech)
-
-
-def _lint_impl(request: LintRequest,
-               tech: Optional[Technology]) -> Any:
+    if not isinstance(request, LintRequest):
+        raise TypeError("lint() takes a LintRequest, e.g. "
+                        "lint(LintRequest(design='ckt64'))")
     import repro.analysis  # registers the static D/C checks
 
     if request.static:
@@ -507,24 +509,6 @@ def _lint_impl(request: LintRequest,
                       kinds=list(request.kinds) if request.kinds else None)
 
 
-def lint(request: LintRequest, *, tech: Optional[Technology] = None) -> Any:
-    """Run the verifier: a flow's DRC/ERC + oracle checks, or static.
-
-    With ``LintRequest(static=True)`` the whole-program determinism /
-    cache-soundness analyzer runs over ``paths`` (default: the
-    installed package) and the flow fields are ignored; ``codes``
-    restricts the run to rule families by ``fnmatch`` pattern
-    (``codes=("Q*",)`` runs only the dimension checks).  Returns the
-    report object (:class:`~repro.verify.VerifyReport` or the static
-    analyzer's report) — both expose ``has_errors``, ``render()`` and
-    ``to_json()``.
-    """
-    if not isinstance(request, LintRequest):
-        raise TypeError("lint() takes a LintRequest, e.g. "
-                        "lint(LintRequest(design='ckt64'))")
-    return _lint_impl(request, tech)
-
-
 def execute(request: Any, *, jobs: int = 1, store: Any = True,
             tech: Optional[Technology] = None,
             guide: Optional[NdrClassifierGuide] = None) -> Any:
@@ -536,11 +520,12 @@ def execute(request: Any, *, jobs: int = 1, store: Any = True,
     if isinstance(request, FlowRequest):
         return run(request, jobs=jobs, store=store, tech=tech, guide=guide)
     if isinstance(request, CompareRequest):
-        return _compare_impl(request, jobs, store, tech, guide)
+        return compare(request, jobs=jobs, store=store, tech=tech,
+                       guide=guide)
     if isinstance(request, SweepRequest):
-        return _sweep_impl(request, jobs, store, tech)
+        return sweep(request, jobs=jobs, store=store, tech=tech)
     if isinstance(request, LintRequest):
-        return _lint_impl(request, tech)
+        return lint(request, tech=tech)
     raise TypeError(f"not a request object: {type(request).__name__}")
 
 

@@ -56,8 +56,8 @@ from pathlib import Path
 
 from repro import obs
 from repro.api import (CellReport, CompareRequest, FlowRequest, LintRequest,
-                       SweepRequest, compare, fit_guide, request_field_default,
-                       sweep)
+                       SweepRequest, _cell_report, compare, fit_guide,
+                       request_field_default, sweep)
 from repro.designs import benchmark_suite, generate_design, spec_by_name
 from repro.core import Policy
 from repro.io import save_rule_assignment, write_wire_report
@@ -72,20 +72,6 @@ def _runner(args, guide=None) -> FlowRunner:
     return FlowRunner(tech=default_technology(),
                       store=not getattr(args, "no_cache", False),
                       jobs=getattr(args, "jobs", 1), guide=guide)
-
-
-def _result_dict(result) -> dict:
-    """One JSON row per cell (mirrors ``repro lint --json``'s spirit)."""
-    return {
-        "design": result.job.design,
-        "policy": result.job.policy.value,
-        "slack": result.job.slack,
-        "feasible": result.feasible,
-        "cached": result.cached,
-        "runtime_s": result.runtime,
-        "summary": result.summary,
-        "rule_histogram": result.rule_histogram,
-    }
 
 
 def _report_row(table: Table, cell: CellReport) -> None:
@@ -140,13 +126,12 @@ def _suite_row(name: str, store_root) -> tuple:
     """One suite table row (runs in a worker when ``--jobs`` > 1)."""
     from repro.core.flow import build_physical_design
     from repro.io import ArtifactStore
-    from repro.timing import analyze_clock_timing
 
     spec = spec_by_name(name)
-    tech = default_technology()
     store = ArtifactStore(store_root) if store_root else None
-    phys = build_physical_design(generate_design(spec), tech, store=store)
-    timing = analyze_clock_timing(phys.extraction.network, tech)
+    phys = build_physical_design(generate_design(spec), default_technology(),
+                                 store=store)
+    timing = phys.refine.timing
     return (spec.name, spec.n_sinks, spec.die_edge, spec.n_aggressors,
             phys.routing.clock_wirelength(), timing.latency, timing.skew)
 
@@ -174,17 +159,12 @@ def cmd_run(args) -> int:
     runner = _runner(args, guide=guide)
     result = runner.run_job(request.job_spec(), return_flow=True)
     flow = result.flow
+    cell = _cell_report(result)
     if args.json:
-        print(json.dumps(_result_dict(result), indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(cell), indent=2, sort_keys=True))
     else:
         table = _policy_table(f"{args.design} under {policy.value}")
-        s = result.summary
-        hist = result.rule_histogram
-        table.add_row(policy.value, s["power_uw"], s["wire_cap_ff"],
-                      s["skew_ps"], s["worst_delta_ps"], s["skew_3sigma_ps"],
-                      int(s["em_violations"]),
-                      sum(hist.values()) - hist.get("W1S1", 0),
-                      "yes" if result.feasible else "NO")
+        _report_row(table, cell)
         print(table.render())
     if args.verbose and not args.json:
         from repro.reporting import analysis_summary

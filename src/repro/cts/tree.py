@@ -212,10 +212,6 @@ class ClockTree:
         """All leaf nodes, in topological order."""
         return [n for n in self.topo_order() if n.is_leaf]
 
-    def buffered_nodes(self) -> list[ClockNode]:
-        """All nodes carrying a buffer, in topological order."""
-        return [n for n in self.topo_order() if n.buffer is not None]
-
     def depth(self, node_id: int) -> int:
         """Edge count from the root to ``node_id``."""
         self._check_id(node_id)

@@ -162,21 +162,3 @@ def incremental_re_extract(extraction: Extraction,
         stages.add(extraction.network.patch_wire(wire_id, para))
     return dirty, stages
 
-
-def re_extract(extraction: Extraction, tree: ClockTree,
-               wire_ids: list[int]) -> Extraction:
-    """Update ``wire_ids`` (after a rule change) plus coupling dependents.
-
-    Patches the existing network in place when possible; falls back to
-    a full :func:`build_rc_network` if the network predates this
-    extraction (e.g. a hand-assembled :class:`Extraction`).
-    """
-    try:
-        incremental_re_extract(extraction, wire_ids)
-    except KeyError:
-        routing = extraction.routing
-        for wire_id in extraction.dependents_of(wire_ids):
-            _extract_one(extraction, routing.tracks.wire(wire_id))
-        extraction.network = build_rc_network(tree, routing,
-                                              extraction.wires)
-    return extraction

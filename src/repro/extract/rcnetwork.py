@@ -165,10 +165,6 @@ class ClockRcNetwork:
             self._wire_sites = sites
         return self._wire_sites
 
-    def wire_stage(self, wire_id: int) -> int:
-        """Stage index holding ``wire_id`` (KeyError if absent)."""
-        return self._sites()[wire_id][0]
-
     def patch_wire(self, wire_id: int,
                    para: WireParasitics) -> int:
         """Update one wire's R/C entries in place; returns its stage index.

@@ -122,13 +122,6 @@ class Tracer:
             entry["calls"] += 1
         return out
 
-    def children_of(self) -> dict[Optional[int], list[SpanRecord]]:
-        """Parent id -> ordered child records (``None`` = the roots)."""
-        table: dict[Optional[int], list[SpanRecord]] = {}
-        for record in self.records:
-            table.setdefault(record.parent_id, []).append(record)
-        return table
-
     # -- cross-process propagation -------------------------------------------
 
     def export_payload(self) -> dict[str, Any]:

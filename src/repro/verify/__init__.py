@@ -31,8 +31,7 @@ from repro.verify import drc as _drc          # noqa: E402,F401
 from repro.verify import oracle as _oracle    # noqa: E402,F401
 
 if TYPE_CHECKING:
-    from repro.core.flow import FlowResult
-    from repro.core.physical import PhysicalDesign
+    from repro.core.flow import FlowResult, PhysicalDesign
 
 __all__ = [
     "Check",
