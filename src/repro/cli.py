@@ -157,7 +157,12 @@ def cmd_run(args) -> int:
     policy = Policy(request.policy)
     guide = fit_guide() if policy == Policy.SMART_ML else None
     runner = _runner(args, guide=guide)
-    result = runner.run_job(request.job_spec(), return_flow=True)
+    # Ask for the flow only when an output reads it: a plain run is
+    # answered from the cell's record.
+    verbose = args.verbose and not args.json
+    need_flow = bool(args.save_rules or args.wire_report or args.svg
+                     or verbose)
+    result = runner.run_job(request.job_spec(), return_flow=need_flow)
     flow = result.flow
     cell = _cell_report(result)
     if args.json:
@@ -166,7 +171,7 @@ def cmd_run(args) -> int:
         table = _policy_table(f"{args.design} under {policy.value}")
         _report_row(table, cell)
         print(table.render())
-    if args.verbose and not args.json:
+    if verbose:
         from repro.reporting import analysis_summary
 
         print()

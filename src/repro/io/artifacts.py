@@ -265,20 +265,18 @@ class ArtifactStore:
 
     def load(self, key: str) -> Optional[Any]:
         """A *fresh* deserialisation of ``key``, or None on miss/corruption."""
+        path = self.path_for(key)
         blob = self._memory.get(key)
-        if blob is not None:
-            # Refresh LRU recency in the memory layer.
-            self._memory.pop(key)
-            self._memory[key] = blob
-        else:
-            path = self.path_for(key)
+        if blob is None:
             try:
                 blob = path.read_bytes()
             except OSError:
                 self.misses += 1
                 obs.counter("artifacts.misses").inc()
                 return None
-            self._touch(path)
+        # Every hit refreshes disk recency, memory hits included, so gc
+        # never evicts the hottest entries first.
+        self._touch(path)
         try:
             obj = pickle.loads(blob)
         except Exception:
@@ -368,7 +366,7 @@ class ArtifactStore:
         ``None`` means scan-and-report only).  Pinned keys are skipped
         unconditionally — an in-flight waiter's artifact survives any
         amount of pressure — and recency comes from file mtimes, which
-        :meth:`load` refreshes on every disk hit.
+        :meth:`load` refreshes on every hit, from memory or from disk.
         """
         budget = self.max_disk_bytes if max_bytes is None else max_bytes
         entries = self.disk_entries()
@@ -422,10 +420,11 @@ class ArtifactStore:
 
     def stats(self) -> dict[str, int]:
         """Cache-tier counters (per-store-instance, this process only)."""
+        entries = self.disk_entries()
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions,
                 "evicted_bytes": self.evicted_bytes,
                 "memory_entries": len(self._memory),
                 "pinned_keys": len(self._pins),
-                "disk_entries": len(self.disk_entries()),
-                "disk_bytes": self.disk_bytes()}
+                "disk_entries": len(entries),
+                "disk_bytes": sum(size for _, _, size, _ in entries)}

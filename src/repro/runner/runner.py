@@ -10,12 +10,13 @@ product through an :class:`~repro.io.artifacts.ArtifactStore`:
   recomputation;
 * the default-rule *build* is shared across every policy/slack cell of
   a design (each cell mutates its own snapshot);
-* completed *cells* are cached as two artifacts: a compact
-  :class:`CellRecord` (what :class:`JobResult` reports) under the
-  ``flow-cell`` key, and the full :class:`FlowResult` under a key
-  derived from it.  A warm rerun reads only the records — under a
-  kilobyte per cell — and unpickles a flow only for callers that need
-  one (``return_flows``, or verification);
+* a completed *cell* is cached as a compact :class:`CellRecord` (what
+  :class:`JobResult` reports) under the ``flow-cell`` key, plus its
+  full :class:`FlowResult` under a key derived from it only when the
+  caller that computed the cell reads flows (``return_flows``, or
+  verification).  A warm rerun reads only the records — under a
+  kilobyte per cell; a flow caller that finds no flow recomputes the
+  cell once from the cached build and saves both;
 * an ALL-NDR cell is the reference flow under different budgets — the
   runner re-wraps the cached reference instead of re-running it;
 * each design resolves once per runner (once per worker in a pool),
@@ -95,9 +96,11 @@ class JobResult:
 class CellRecord:
     """The ``flow-cell`` artifact: exactly what a :class:`JobResult` reports.
 
-    A cached cell answers from this record alone; the full
+    A cached cell answers from this record alone.  The full
     :class:`FlowResult` lives under :func:`_flow_key` of the same key
-    and is unpickled only when a caller needs the flow itself.
+    when the caller that computed the cell read flows; it is unpickled
+    only when a caller needs the flow itself, and a flow caller that
+    finds it absent recomputes the cell.
     """
 
     summary: dict[str, float]
@@ -249,8 +252,9 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
     targets = _reference_targets(design, ctx.tech, metrics, job.slack)
     store = ctx.store
     key = _cell_key(job, ctx, targets) if store is not None else None
-    # Only verification and flow-returning callers read the full flow;
-    # everyone else is answered from the compact record.
+    # Only verification and flow-returning callers read the full flow,
+    # so only they load or save it; everyone else is answered from, and
+    # stores, the compact record.
     need_flow = ctx.verify or ctx.return_flows
 
     with obs.capture(f"cell:{job.label}") as tracer:
@@ -289,7 +293,8 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
                                 guide=ctx.guide, store=ctx.store)
                 record = CellRecord.of(flow)
                 if key is not None and store is not None:
-                    _save_cell(store, key, record, flow)
+                    _save_cell(store, key, record,
+                               flow if need_flow else None)
             diagnostics: list[dict[str, object]] = []
             if ctx.verify:
                 assert flow is not None  # need_flow loaded or computed it

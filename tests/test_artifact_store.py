@@ -184,15 +184,17 @@ def _fill(store, n, payload_bytes=2000):
         store.save(f"{i}" * 64, b"x" * payload_bytes)
 
 
-def test_gc_evicts_least_recently_used_first(tmp_path):
+@pytest.mark.parametrize("memory_limit", (0, 64))
+def test_gc_evicts_least_recently_used_first(tmp_path, memory_limit):
     import os
 
-    store = ArtifactStore(tmp_path, memory_limit=0)
+    store = ArtifactStore(tmp_path, memory_limit=memory_limit)
     _fill(store, 4)
     # Age the files deterministically: key 0 oldest ... key 3 newest.
     for i in range(4):
         os.utime(store.path_for(f"{i}" * 64), (1000.0 + i, 1000.0 + i))
-    # Touch key 0 by loading it: it becomes the most recent.
+    # Touch key 0 by loading it (from memory when the layer is on): it
+    # becomes the most recent.
     assert store.load("0" * 64) is not None
     sizes = [size for _, _, size, _ in store.disk_entries()]
     budget = sum(sizes) - 1  # force exactly one eviction

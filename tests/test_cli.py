@@ -187,3 +187,47 @@ def test_sweep_prints_rows(tmp_path, capsys, tiny_design):
     out = capsys.readouterr().out
     assert code == 0
     assert "0.60" in out and "0.20" in out
+
+
+def test_run_after_compare_answers_from_the_record(tmp_path, capsys,
+                                                   tiny_design, monkeypatch):
+    """A plain run reads the record; an output that needs the flow computes it."""
+    from repro.io import save_design
+    from repro.io.artifacts import CACHE_DIR_ENV, ArtifactStore
+
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_VERIFY_FLOWS", raising=False)
+    loaded: list[str] = []
+    original = ArtifactStore.load
+
+    def spy(self, key):
+        obj = original(self, key)
+        loaded.append(type(obj).__name__)
+        return obj
+
+    monkeypatch.setattr(ArtifactStore, "load", spy)
+    design_path = tmp_path / "d.json"
+    save_design(tiny_design, design_path)
+    design = ["--design", str(design_path)]
+    assert main(["compare", *design, "--json"]) == 0
+    smart, = [row for row in json.loads(capsys.readouterr().out)["rows"]
+              if row["policy"] == "smart"]
+
+    loaded.clear()
+    assert main(["run", *design, "--policy", "smart", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cached"] and payload["summary"] == smart["summary"]
+    assert "FlowResult" not in loaded
+
+    # The first flow reader recomputes the cell and stores its flow, the
+    # second loads it; both write the rules a cold run writes.
+    rules = [tmp_path / f"r{i}.json" for i in range(3)]
+    assert main(["run", *design, "--save-rules", str(rules[0])]) == 0
+    assert "FlowResult" not in loaded
+    assert main(["run", *design, "--save-rules", str(rules[1])]) == 0
+    assert "FlowResult" in loaded
+    assert main(["--no-cache", "run", *design,
+                 "--save-rules", str(rules[2])]) == 0
+    capsys.readouterr()
+    assert rules[0].read_text() == rules[1].read_text() \
+        == rules[2].read_text()

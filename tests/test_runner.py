@@ -336,6 +336,35 @@ def _saved_keys(monkeypatch) -> dict[str, list[tuple[str, object]]]:
     return saved
 
 
+def test_record_only_callers_save_no_flows(tiny_ref, tmp_path, unverified,
+                                           monkeypatch):
+    from repro import api
+
+    store = str(tmp_path / "artifacts")
+    saved = _saved_keys(monkeypatch)
+    report = api.compare(api.CompareRequest(design=tiny_ref, slack=0.15),
+                         store=store)
+    assert set(saved) == {"PhysicalDesign", "CellRecord"}
+    # One record per cell: the three policies and the ALL-NDR reference.
+    records = saved["CellRecord"]
+    assert len({k for k, _ in records}) == len(records) == 4
+    summaries = [r.summary for _, r in records]
+    assert all(c.summary in summaries for c in report.cells)
+
+    # A flow caller recomputes the cell once, from the cached build, and
+    # saves both artifacts; the recomputed flow equals the record.
+    smart = JobSpec(design=tiny_ref, policy=Policy.SMART, slack=0.15)
+    saved.clear()
+    first = FlowRunner(store=store).run_job(smart, return_flow=True)
+    assert not first.cached and first.flow is not None
+    assert sorted(saved) == ["CellRecord", "FlowResult"]
+    assert first.flow.summary() == first.summary \
+        == report.cell(Policy.SMART).summary  # bit for bit
+    again = FlowRunner(store=store).run_job(smart, return_flow=True)
+    assert again.cached and again.flow is not None
+    assert again.flow.summary() == first.summary
+
+
 def test_missing_flow_and_corrupt_record(tiny_ref, tmp_path, unverified,
                                          monkeypatch):
     from repro.io.artifacts import ArtifactStore
@@ -343,7 +372,7 @@ def test_missing_flow_and_corrupt_record(tiny_ref, tmp_path, unverified,
     root = tmp_path / "artifacts"
     job = JobSpec(design=tiny_ref, policy=Policy.SMART)
     saved = _saved_keys(monkeypatch)
-    cold = FlowRunner(store=str(root)).run_job(job, return_flow=False)
+    cold = FlowRunner(store=str(root)).run_job(job, return_flow=True)
     (flow_key, _), = [(k, f) for k, f in saved["FlowResult"]
                       if f.policy == Policy.SMART]
     (record_key, _), = [(k, r) for k, r in saved["CellRecord"]
