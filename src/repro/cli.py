@@ -110,18 +110,6 @@ def cmd_suite(args) -> int:
     return 0
 
 
-def _suite_pool_init() -> None:
-    """Per-worker initializer for the suite row pool.
-
-    A forked worker inherits the parent's installed obs tracer; drop
-    it so suite rows never write spans into the fork's copy of the
-    parent's buffers (same contract as the flow runner's pool).
-    """
-    from repro import obs
-
-    obs.disable()
-
-
 def _suite_row(name: str, store_root) -> tuple:
     """One suite table row (runs in a worker when ``--jobs`` > 1)."""
     from repro.core.flow import build_physical_design
@@ -144,8 +132,10 @@ def _suite_rows(names, args) -> list[tuple]:
         return [_suite_row(name, store_root) for name in names]
     from concurrent.futures import ProcessPoolExecutor
 
+    # A forked worker inherits the parent's installed tracer; drop it so
+    # suite rows never write spans into the fork's copy.
     with ProcessPoolExecutor(max_workers=min(args.jobs, len(names)),
-                             initializer=_suite_pool_init) as pool:
+                             initializer=obs.disable) as pool:
         return list(pool.map(_suite_row, names,
                              [store_root] * len(names)))
 

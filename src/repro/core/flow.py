@@ -150,8 +150,6 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
         targets = RobustnessTargets.for_period(design.clock_period,
                                                tech.max_slew)
     start = time.perf_counter()  # static: ok[D002] feeds FlowResult.runtime metadata only
-    optimizing = policy in (Policy.SMART, Policy.SMART_SHIELD,
-                            Policy.SMART_ML)
     policy_params = PolicyParams(policy=policy,
                                  random_fraction=random_fraction,
                                  random_seed=random_seed,
@@ -179,7 +177,8 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
         retrim_stage(physical, engine=engine)
         analyses = analyze_stage(physical, targets, engine=engine)
 
-        if not optimizing or _em_fixable_by_rules(analyses, routing, widest) \
+        if not policy.reads_budgets \
+                or _em_fixable_by_rules(analyses, routing, widest) \
                 or analyses.feasible(targets) or attempt == 2:
             break
         # Re-synthesize with smaller stages: less charge per trunk wire.

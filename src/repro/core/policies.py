@@ -38,6 +38,16 @@ class Policy(str, enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+    @property
+    def reads_budgets(self) -> bool:
+        """True when the rule assignment reads the robustness budgets.
+
+        Only the optimizing policies do.  A uniform or random
+        assignment, and so its whole flow, measures the same under any
+        budgets; only the verdict on those measurements changes.
+        """
+        return self in (Policy.SMART, Policy.SMART_SHIELD, Policy.SMART_ML)
+
 
 _UNIFORM_RULE: dict[Policy, str] = {
     Policy.NO_NDR: "W1S1",

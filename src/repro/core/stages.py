@@ -54,8 +54,8 @@ class PolicyParams:
     """Parameters the ``policy`` stage is content-addressed by.
 
     ``random_fraction``/``random_seed`` only matter to ``RANDOM``;
-    ``lambda_track``/``verify_every`` only to the optimizing policies —
-    they are normalised out of the fingerprint for the others (see
+    ``lambda_track`` only to the greedy optimizer's policies — they
+    are normalised out of the fingerprint for the others (see
     :meth:`normalized`) so e.g. an ALL_NDR cell hashes identically no
     matter what optimizer knobs rode along.
     """
@@ -64,7 +64,6 @@ class PolicyParams:
     random_fraction: float = 0.3
     random_seed: int = 0
     lambda_track: float = 0.05
-    verify_every: int = 0
 
     def normalized(self) -> "PolicyParams":
         """Drop knobs the policy does not read (stable cache keys)."""
@@ -74,8 +73,7 @@ class PolicyParams:
                                 random_seed=self.random_seed)
         if self.policy in (Policy.SMART, Policy.SMART_SHIELD):
             return PolicyParams(policy=self.policy,
-                                lambda_track=self.lambda_track,
-                                verify_every=self.verify_every)
+                                lambda_track=self.lambda_track)
         return PolicyParams(policy=self.policy)
 
 
@@ -135,8 +133,7 @@ def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
             optimizer = SmartNdrOptimizer(
                 tree, routing, tech, targets, freq,
                 lambda_track=params.lambda_track,
-                use_shielding=(policy == Policy.SMART_SHIELD),
-                verify_every=params.verify_every)
+                use_shielding=(policy == Policy.SMART_SHIELD))
             with obs.span("flow.optimize"):
                 return optimizer.run(physical.extraction)
         if policy == Policy.SMART_ML:

@@ -6,26 +6,21 @@ content hash of everything that determines it — the design, the
 technology, and the stage parameters — so identical inputs always map
 to the same key, across processes and across interpreter runs.
 
-Two layers back the store:
-
-* an in-memory map of *pickled bytes* (not live objects), so a cache
-  hit always deserialises a fresh object graph — callers can mutate
-  the returned artifact freely without poisoning the cache (the
-  snapshot semantics ``run_flow`` relies on);
-* an on-disk tree of pickle files under ``root/<kk>/<key>.pkl``,
-  shared by worker processes and by repeat invocations.
+The store is one on-disk tree of pickle files under
+``root/<kk>/<key>.pkl``, shared by worker processes and by repeat
+invocations.  Every hit deserialises a fresh object graph, so callers
+can mutate the returned artifact freely without poisoning the cache
+(the snapshot semantics ``run_flow`` relies on).  A root that cannot
+be written degrades to no cache: saves are dropped and loads miss.
 
 Corruption of a stored artifact (truncated write, stale schema,
 unpicklable payload) is never fatal: ``load`` returns ``None``, the
 bad file is removed, and the caller rebuilds from scratch.
 
 The store doubles as the shared cache tier of the flow service
-(:mod:`repro.serve`): both layers evict least-recently-used entries
-(memory by entry count, disk by byte budget via :meth:`ArtifactStore.gc`),
-every load/save feeds hit/miss/byte counters into :mod:`repro.obs`,
-and keys a live request is still waiting on can be *pinned*
-(:meth:`ArtifactStore.pin`) so eviction never removes an artifact with
-an in-flight waiter.
+(:mod:`repro.serve`): it evicts least-recently-used files down to a
+byte budget (:meth:`ArtifactStore.gc`), and every load/save feeds
+hit/miss/byte counters into :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Optional, Union
 
 from repro import obs
 
@@ -46,7 +41,9 @@ from repro import obs
 #: keys derived under the old name-salted hashing must not be reused.
 #: 3: a ``flow-cell`` entry holds a compact cell record and the full
 #: flow moved to a derived key — no whole-flow entry is read as a record.
-ARTIFACT_SCHEMA = 3
+#: 4: a cell record holds measurements only (no feasibility verdict),
+#: and a budget-blind cell's key no longer hashes its budgets.
+ARTIFACT_SCHEMA = 4
 
 #: Environment variable overriding the default on-disk cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -208,30 +205,23 @@ def technology_fingerprint(tech: Any) -> str:
 
 
 class ArtifactStore:
-    """Two-level (memory bytes + disk pickle) content-addressed store.
+    """Content-addressed store of pickled artifacts on disk.
 
     Parameters
     ----------
     root:
         On-disk cache root (:func:`default_cache_dir` when omitted).
-    memory_limit:
-        Entry cap of the in-memory bytes layer; least-recently-used
-        entries fall back to disk-only.
     max_disk_bytes:
         Disk byte budget.  When set, every :meth:`save` that pushes the
         tree over budget triggers :meth:`gc`, evicting the
-        least-recently-*used* files (loads refresh recency) — pinned
-        keys are never evicted.  ``None`` leaves the tree unbounded.
+        least-recently-*used* files (loads refresh recency).  ``None``
+        leaves the tree unbounded.
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None,
-                 memory_limit: int = 64,
                  max_disk_bytes: Optional[int] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.memory_limit = memory_limit
         self.max_disk_bytes = max_disk_bytes
-        self._memory: dict[str, bytes] = {}
-        self._pins: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -250,7 +240,6 @@ class ArtifactStore:
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         obs.counter("artifacts.saves").inc()
         obs.counter("artifacts.save_bytes").inc(len(blob))
-        self._remember(key, blob)
         path = self.path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -258,7 +247,7 @@ class ArtifactStore:
             tmp.write_bytes(blob)
             os.replace(tmp, path)
         except OSError:
-            # A read-only or full cache dir degrades to memory-only.
+            # A read-only or full cache dir degrades to no cache.
             return
         if self.max_disk_bytes is not None:
             self.gc()
@@ -266,16 +255,14 @@ class ArtifactStore:
     def load(self, key: str) -> Optional[Any]:
         """A *fresh* deserialisation of ``key``, or None on miss/corruption."""
         path = self.path_for(key)
-        blob = self._memory.get(key)
-        if blob is None:
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                self.misses += 1
-                obs.counter("artifacts.misses").inc()
-                return None
-        # Every hit refreshes disk recency, memory hits included, so gc
-        # never evicts the hottest entries first.
+        try:
+            blob = path.read_bytes()
+        except OSError:
+            self.misses += 1
+            obs.counter("artifacts.misses").inc()
+            return None
+        # Every hit refreshes recency, so gc never evicts the hottest
+        # entries first.
         self._touch(path)
         try:
             obj = pickle.loads(blob)
@@ -287,56 +274,21 @@ class ArtifactStore:
             obs.counter("artifacts.corruptions").inc()
             obs.counter("artifacts.misses").inc()
             return None
-        self._remember(key, blob)
         self.hits += 1
         obs.counter("artifacts.hits").inc()
         obs.counter("artifacts.load_bytes").inc(len(blob))
         return obj
 
     def has(self, key: str) -> bool:
-        """True when ``key`` is present in memory or on disk."""
-        return key in self._memory or self.path_for(key).exists()
+        """True when ``key`` is present on disk."""
+        return self.path_for(key).exists()
 
     def discard(self, key: str) -> None:
-        """Remove ``key`` from both layers (missing is fine)."""
-        self._memory.pop(key, None)
+        """Remove ``key`` (missing is fine)."""
         try:
             self.path_for(key).unlink()
         except OSError:
             pass
-
-    def fetch(self, key: str, build: Callable[..., Any],
-              *args: Any, **kwargs: Any) -> Any:
-        """``load(key)`` or build-and-save: the one-call cache pattern."""
-        obj = self.load(key)
-        if obj is None:
-            obj = build(*args, **kwargs)
-            self.save(key, obj)
-        return obj
-
-    # -- pinning (in-flight waiter protection) --------------------------------
-
-    def pin(self, key: str) -> None:
-        """Protect ``key`` from eviction while a waiter is in flight.
-
-        Pins nest (a count per key): the serve tier pins a response key
-        for as long as any coalesced request is awaiting it, so a GC
-        pass under disk pressure can never evict an artifact a live
-        client is about to read.
-        """
-        self._pins[key] = self._pins.get(key, 0) + 1
-
-    def unpin(self, key: str) -> None:
-        """Drop one pin of ``key`` (the last drop re-enables eviction)."""
-        count = self._pins.get(key, 0) - 1
-        if count > 0:
-            self._pins[key] = count
-        else:
-            self._pins.pop(key, None)
-
-    def pinned(self, key: str) -> bool:
-        """True while ``key`` carries at least one pin."""
-        return key in self._pins
 
     # -- eviction / GC --------------------------------------------------------
 
@@ -363,10 +315,8 @@ class ArtifactStore:
 
         ``max_bytes`` overrides the store's configured budget for this
         pass (``None`` falls back to :attr:`max_disk_bytes`; both
-        ``None`` means scan-and-report only).  Pinned keys are skipped
-        unconditionally — an in-flight waiter's artifact survives any
-        amount of pressure — and recency comes from file mtimes, which
-        :meth:`load` refreshes on every hit, from memory or from disk.
+        ``None`` means scan-and-report only).  Recency comes from file
+        mtimes, which :meth:`load` refreshes on every hit.
         """
         budget = self.max_disk_bytes if max_bytes is None else max_bytes
         entries = self.disk_entries()
@@ -375,17 +325,14 @@ class ArtifactStore:
         evicted_bytes = 0
         if budget is not None and total > budget:
             # Oldest mtime first; path breaks ties deterministically.
-            for key, path, size, _ in sorted(entries,
-                                             key=lambda e: (e[3], str(e[1]))):
+            for _, path, size, _ in sorted(entries,
+                                           key=lambda e: (e[3], str(e[1]))):
                 if total <= budget:
                     break
-                if self.pinned(key):
-                    continue
                 try:
                     path.unlink()
                 except OSError:
                     continue
-                self._memory.pop(key, None)
                 total -= size
                 evicted += 1
                 evicted_bytes += size
@@ -407,24 +354,11 @@ class ArtifactStore:
         except OSError:
             pass
 
-    def _remember(self, key: str, blob: bytes) -> None:
-        if self.memory_limit <= 0:
-            return
-        self._memory.pop(key, None)
-        self._memory[key] = blob
-        while len(self._memory) > self.memory_limit:
-            evicted = next(iter(self._memory))
-            if evicted == key:  # never evict what we just stored
-                break
-            self._memory.pop(evicted)
-
     def stats(self) -> dict[str, int]:
         """Cache-tier counters (per-store-instance, this process only)."""
         entries = self.disk_entries()
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions,
                 "evicted_bytes": self.evicted_bytes,
-                "memory_entries": len(self._memory),
-                "pinned_keys": len(self._pins),
                 "disk_entries": len(entries),
                 "disk_bytes": sum(size for _, _, size, _ in entries)}

@@ -7,29 +7,23 @@ assignment (:mod:`repro.core.mlguide`) needs:
   impurity,
 * :class:`~repro.ml.forest.RandomForestClassifier` — bagged CART trees
   with feature subsampling,
-* :class:`~repro.ml.logistic.LogisticRegression` — L2-regularised,
-  gradient-descent trained,
 * :mod:`repro.ml.metrics` — accuracy/precision/recall/F1/confusion,
-* :mod:`repro.ml.data` — train/test split, standardisation.
+* :mod:`repro.ml.data` — the teacher-set generator.
 """
 
 from repro.ml.tree import DecisionTreeClassifier
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import (accuracy, precision, recall, f1_score,
                               confusion_matrix)
-from repro.ml.data import teacher_dataset, train_test_split, Standardizer
+from repro.ml.data import teacher_dataset
 
 __all__ = [
     "teacher_dataset",
     "DecisionTreeClassifier",
     "RandomForestClassifier",
-    "LogisticRegression",
     "accuracy",
     "precision",
     "recall",
     "f1_score",
     "confusion_matrix",
-    "train_test_split",
-    "Standardizer",
 ]

@@ -1,4 +1,4 @@
-"""Dataset utilities: teacher-set generation, splitting, standardisation.
+"""Teacher-set generation for the ML-guided policy.
 
 :func:`teacher_dataset` is the training-set generator for the ML-guided
 policy: it runs the greedy optimizer (the "teacher") over a list of
@@ -90,8 +90,12 @@ def teacher_dataset(designs: Sequence, tech=None, targets=None,
     if jobs > 1 and len(designs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(designs))) as pool:
+        from repro import obs
+
+        # A forked worker inherits the parent's installed tracer; drop
+        # it so teacher runs never record into the fork's copy.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(designs)),
+                                 initializer=obs.disable) as pool:
             pairs = list(pool.map(_teacher_job, designs,
                                   [tech] * len(designs),
                                   [targets] * len(designs),
@@ -101,53 +105,3 @@ def teacher_dataset(designs: Sequence, tech=None, targets=None,
                  for d in designs]
     xs, ys = zip(*pairs)
     return np.vstack(xs), np.concatenate(ys)
-
-
-def train_test_split(X, y, test_fraction: float = 0.25,
-                     seed: int = 0) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray, np.ndarray]:
-    """Shuffle and split into (X_train, X_test, y_train, y_test)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y length mismatch")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(X.shape[0])
-    n_test = max(1, int(round(X.shape[0] * test_fraction)))
-    test_idx = order[:n_test]
-    train_idx = order[n_test:]
-    if train_idx.size == 0:
-        raise ValueError("split leaves no training samples")
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
-
-
-class Standardizer:
-    """Per-feature zero-mean unit-variance scaling (fit on train only)."""
-
-    def __init__(self) -> None:
-        self.mean_: Optional[np.ndarray] = None
-        self.std_: Optional[np.ndarray] = None
-
-    def fit(self, X) -> "Standardizer":
-        """Learn per-feature mean and standard deviation from ``X``."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ValueError("X must be a non-empty 2-D array")
-        self.mean_ = X.mean(axis=0)
-        std = X.std(axis=0)
-        std[std <= 0.0] = 1.0  # constant features pass through centred
-        self.std_ = std
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        """Standardize ``X`` with the fitted statistics."""
-        if self.mean_ is None:
-            raise RuntimeError("standardizer is not fitted")
-        X = np.asarray(X, dtype=float)
-        return (X - self.mean_) / self.std_
-
-    def fit_transform(self, X) -> np.ndarray:
-        """Fit on ``X`` and return it standardized."""
-        return self.fit(X).transform(X)

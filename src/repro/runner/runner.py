@@ -10,15 +10,19 @@ product through an :class:`~repro.io.artifacts.ArtifactStore`:
   recomputation;
 * the default-rule *build* is shared across every policy/slack cell of
   a design (each cell mutates its own snapshot);
-* a completed *cell* is cached as a compact :class:`CellRecord` (what
-  :class:`JobResult` reports) under the ``flow-cell`` key, plus its
-  full :class:`FlowResult` under a key derived from it only when the
-  caller that computed the cell reads flows (``return_flows``, or
+* a completed *cell* is cached as a compact :class:`CellRecord` (its
+  measurements) under the ``flow-cell`` key, plus its full
+  :class:`FlowResult` under a key derived from it only when the caller
+  that computed the cell reads flows (``return_flows``, or
   verification).  A warm rerun reads only the records — under a
   kilobyte per cell; a flow caller that finds no flow recomputes the
   cell once from the cached build and saves both;
-* an ALL-NDR cell is the reference flow under different budgets — the
-  runner re-wraps the cached reference instead of re-running it;
+* a cell whose policy does not read budgets
+  (:attr:`~repro.core.policies.Policy.reads_budgets`: the uniform
+  rules and random) measures the same at every slack, so its key
+  leaves the budgets out and one record serves every slack — the
+  pegged ALL-NDR cells share the reference's record.  Every read
+  judges the record against the reading cell's own budgets;
 * each design resolves once per runner (once per worker in a pool),
   memoized by its content fingerprint.
 
@@ -94,41 +98,45 @@ class JobResult:
 
 @dataclass(frozen=True)
 class CellRecord:
-    """The ``flow-cell`` artifact: exactly what a :class:`JobResult` reports.
+    """The ``flow-cell`` artifact: a finished cell's measurements.
 
-    A cached cell answers from this record alone.  The full
-    :class:`FlowResult` lives under :func:`_flow_key` of the same key
-    when the caller that computed the cell read flows; it is unpickled
-    only when a caller needs the flow itself, and a flow caller that
-    finds it absent recomputes the cell.
+    A cached cell answers from this record alone.  It holds no verdict:
+    :meth:`judged` decides feasibility against the reading cell's own
+    budgets, so one record can serve every slack of a budget-blind
+    cell.  The full :class:`FlowResult` lives under :func:`_flow_key`
+    of the same key when the caller that computed the cell read flows;
+    it is unpickled only when a caller needs the flow itself, and a
+    flow caller that finds it absent recomputes the cell.
     """
 
-    summary: dict[str, float]
+    #: ``FlowResult.summary()`` without its ``"feasible"`` entry
+    measurements: dict[str, float]
     rule_histogram: dict[str, int]
     ndr_track_cost: float
-    feasible: bool
 
     @classmethod
     def of(cls, flow: FlowResult) -> "CellRecord":
         """The record of a finished flow."""
-        return cls(summary=flow.summary(),
+        measurements = flow.summary()
+        del measurements["feasible"]
+        return cls(measurements=measurements,
                    rule_histogram=dict(flow.rule_histogram),
-                   ndr_track_cost=flow.ndr_track_cost,
-                   feasible=flow.feasible)
+                   ndr_track_cost=flow.ndr_track_cost)
 
-    def retarget(self, targets: RobustnessTargets) -> "CellRecord":
-        """This cell judged against other budgets (the ALL-NDR re-wrap).
+    def judged(self, targets: RobustnessTargets
+               ) -> tuple[dict[str, float], bool]:
+        """``(summary, feasible)`` of this cell under ``targets``.
 
-        Bit-identical to re-wrapping the flow: only feasibility depends
-        on the budgets, and it is decided from the same four metrics.
+        Bit-identical to the flow's own ``summary()`` and ``feasible``
+        under the same budgets: feasibility is decided from the same
+        four metrics by the same comparisons.
         """
-        s = self.summary
-        feasible = not targets.violations(worst_delta=s["worst_delta_ps"],
-                                          skew_3sigma=s["skew_3sigma_ps"],
-                                          worst_slew=s["worst_slew_ps"],
-                                          em_util=s["em_worst_util"])
-        return replace(self, summary={**s, "feasible": float(feasible)},
-                       feasible=feasible)
+        m = self.measurements
+        feasible = not targets.violations(worst_delta=m["worst_delta_ps"],
+                                          skew_3sigma=m["skew_3sigma_ps"],
+                                          worst_slew=m["worst_slew_ps"],
+                                          em_util=m["em_worst_util"])
+        return {**m, "feasible": 1.0 if feasible else 0.0}, feasible
 
 
 @dataclass
@@ -181,12 +189,20 @@ def _guide_fingerprint(guide: Any) -> str:
 
 def _cell_key(job: JobSpec, ctx: _ExecContext,
               targets: RobustnessTargets) -> str:
-    """Content hash identifying one completed cell (its record)."""
+    """Content hash identifying one completed cell (its record).
+
+    A budget-blind cell hashes only the analysis settings of its
+    targets — all its flow reads of them — so every slack shares one
+    record.
+    """
     parts = {
         "design": design_ref_fingerprint(job.design),
         "tech": ctx.tech,
         "policy": job.policy_params(),
-        "targets": targets,
+        "targets": targets if job.policy.reads_budgets else {
+            "alignment": targets.alignment,
+            "mc_samples": targets.mc_samples,
+            "mc_seed": targets.mc_seed},
     }
     if job.policy == Policy.SMART_ML and ctx.guide is not None:
         parts["guide"] = _guide_fingerprint(ctx.guide)
@@ -265,24 +281,6 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
             flow: Optional[FlowResult] = None
             if key is not None and store is not None:
                 record, flow = _load_cell(store, key, need_flow)
-                if record is None and job.policy == Policy.ALL_NDR \
-                        and job.slack is not None:
-                    # An ALL-NDR cell is the reference flow under pegged
-                    # budgets; re-wrap the cached reference instead of
-                    # re-running it (deterministic, so numerically
-                    # identical).
-                    ref_job = job.reference_job()
-                    assert ref_job is not None  # slack is not None here
-                    ref_targets = _reference_targets(design, ctx.tech,
-                                                     None, None)
-                    ref_record, ref_flow = _load_cell(
-                        store, _cell_key(ref_job, ctx, ref_targets),
-                        need_flow)
-                    if ref_record is not None:
-                        record = ref_record.retarget(targets)
-                        if ref_flow is not None:
-                            flow = replace(ref_flow, targets=targets)
-                        _save_cell(store, key, record, flow)
             cached = record is not None
             if record is None:
                 flow = run_flow(design, ctx.tech, policy=job.policy,
@@ -295,6 +293,11 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
                 if key is not None and store is not None:
                     _save_cell(store, key, record,
                                flow if need_flow else None)
+            elif flow is not None:
+                # A budget-blind cell's flow may have been stored by
+                # another slack: hand it back under this cell's budgets.
+                flow = replace(flow, targets=targets)
+            summary, feasible = record.judged(targets)
             diagnostics: list[dict[str, object]] = []
             if ctx.verify:
                 assert flow is not None  # need_flow loaded or computed it
@@ -308,10 +311,10 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
 
     return JobResult(
         job=job,
-        summary=dict(record.summary),
+        summary=summary,
         rule_histogram=dict(record.rule_histogram),
         ndr_track_cost=record.ndr_track_cost,
-        feasible=record.feasible,
+        feasible=feasible,
         runtime=time.perf_counter() - start,  # static: ok[D002] feeds JobResult.runtime metadata only
         phases=phases,
         diagnostics=diagnostics,

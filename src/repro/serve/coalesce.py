@@ -5,19 +5,15 @@ The daemon keys every request by its content
 a key is in flight, every further request for the same key *awaits
 the same future* instead of scheduling new work.  This is the
 batching/dedup heart of :mod:`repro.serve` — N identical concurrent
-requests perform exactly one underlying flow.
-
-The coalescer also brokers artifact *pinning*: the ``on_first`` hook
-fires when a key gains its first interested client and ``on_last``
-when the last one leaves, so the server can pin the response artifact
-in the :class:`~repro.io.artifacts.ArtifactStore` for exactly the
-window in which an eviction could strand a waiter.
+requests perform exactly one underlying flow.  A waiter reads the
+leader's result from the shared future, never from the store, so an
+eviction while the key is in flight cannot strand it.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Optional
+from typing import Any, Awaitable, Callable
 
 from repro import obs
 
@@ -39,42 +35,17 @@ class Coalescer:
     ``serve.coalesced`` when a tracer is installed.
     """
 
-    def __init__(self,
-                 on_first: Optional[Callable[[str], None]] = None,
-                 on_last: Optional[Callable[[str], None]] = None) -> None:
+    def __init__(self) -> None:
         self._inflight: dict[str, asyncio.Future[Any]] = {}
-        #: Clients currently interested in a key (leader + waiters).
-        self._clients: dict[str, int] = {}
-        self._on_first = on_first
-        self._on_last = on_last
         self.computations = 0
         self.coalesced = 0
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _enter(self, key: str) -> None:
-        count = self._clients.get(key, 0)
-        self._clients[key] = count + 1
-        if count == 0 and self._on_first is not None:
-            self._on_first(key)
-
-    def _leave(self, key: str) -> None:
-        count = self._clients.get(key, 1) - 1
-        if count <= 0:
-            self._clients.pop(key, None)
-            if self._on_last is not None:
-                self._on_last(key)
-        else:
-            self._clients[key] = count
-
     @property
     def inflight(self) -> int:
         """Keys with a computation currently running."""
         return len(self._inflight)
-
-    def waiters(self, key: str) -> int:
-        """Clients currently interested in ``key`` (0 when idle)."""
-        return self._clients.get(key, 0)
 
     def stats(self) -> dict[str, int]:
         """The dedup counters (computations, coalesced, inflight)."""
@@ -96,18 +67,13 @@ class Coalescer:
         if existing is not None:
             self.coalesced += 1
             obs.counter("serve.coalesced").inc()
-            self._enter(key)
-            try:
-                # shield: one waiter's cancellation must not cancel the
-                # shared computation under everyone else.
-                return await asyncio.shield(existing), True
-            finally:
-                self._leave(key)
+            # shield: one waiter's cancellation must not cancel the
+            # shared computation under everyone else.
+            return await asyncio.shield(existing), True
 
         future: asyncio.Future[Any] = (
             asyncio.get_running_loop().create_future())
         self._inflight[key] = future
-        self._enter(key)
         self.computations += 1
         obs.counter("serve.computations").inc()
         try:
@@ -120,11 +86,9 @@ class Coalescer:
                 # future's exception as retrieved so an unwaited key
                 # does not log "exception was never retrieved".
                 future.exception()
-            self._leave(key)
             raise
         else:
             self._inflight.pop(key, None)
             if not future.cancelled():
                 future.set_result(result)
-            self._leave(key)
             return result, False

@@ -68,9 +68,7 @@ class ServeDaemon:
                   else default_cache_max_bytes())
         self.store = ArtifactStore(config.store_root,
                                    max_disk_bytes=budget)
-        self.coalescer = Coalescer(
-            on_first=lambda key: self.store.pin(response_store_key(key)),
-            on_last=lambda key: self.store.unpin(response_store_key(key)))
+        self.coalescer = Coalescer()
         self.router = self._build_router()
         self.pool: Optional[WorkerPool] = None
         self._server: Optional[asyncio.base_events.Server] = None

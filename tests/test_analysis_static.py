@@ -973,6 +973,32 @@ def test_manifest_names_resolve_in_repro(repro_ctx):
         assert set(entry.hashed_fields) <= fields
 
 
+def test_every_repro_process_pool_has_an_initializer():
+    """A forked worker inherits the parent's installed tracer, so every
+    pool in the package resets worker state through an initializer."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    pools, bare = 0, []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if name != "ProcessPoolExecutor":
+                continue
+            pools += 1
+            if not any(kw.arg == "initializer" for kw in node.keywords):
+                bare.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert pools >= 4  # runner, suite rows, teacher set, serve workers
+    assert not bare, f"ProcessPoolExecutor without initializer= at {bare}"
+
+
 # -- CLI / registry wiring -----------------------------------------------------
 
 

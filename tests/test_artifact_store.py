@@ -130,7 +130,6 @@ def test_corrupt_artifact_is_a_clean_rebuild(store, tiny_design, tech):
     key = _build_key(tiny_design, tech)
     path = store.path_for(key)
     path.write_bytes(b"not a pickle at all")
-    store._memory.clear()  # force the disk read
 
     assert store.load(key) is None          # corruption -> miss
     assert not path.exists()                # poisoned entry dropped
@@ -145,7 +144,6 @@ def test_truncated_pickle_is_a_miss(store):
     store.save("k" * 64, {"payload": list(range(100))})
     path = store.path_for("k" * 64)
     path.write_bytes(pickle.dumps({"payload": 1})[:-5])
-    store._memory.clear()
     assert store.load("k" * 64) is None
 
 
@@ -155,28 +153,7 @@ def test_missing_key_is_a_miss(store):
     store.discard("0" * 64)  # no-op, no raise
 
 
-def test_fetch_builds_once(store):
-    calls = []
-
-    def build():
-        calls.append(1)
-        return {"x": 3}
-
-    assert store.fetch("a" * 64, build) == {"x": 3}
-    assert store.fetch("a" * 64, build) == {"x": 3}
-    assert len(calls) == 1
-
-
-def test_memory_limit_evicts(tmp_path):
-    store = ArtifactStore(tmp_path, memory_limit=2)
-    for i in range(4):
-        store.save(f"{i}" * 64, i)
-    assert len(store._memory) == 2
-    # Evicted entries still load from disk.
-    assert store.load("0" * 64) == 0
-
-
-# -- cache tier: LRU eviction, GC, pinning ------------------------------------
+# -- cache tier: LRU eviction, GC --------------------------------------------
 
 
 def _fill(store, n, payload_bytes=2000):
@@ -184,17 +161,15 @@ def _fill(store, n, payload_bytes=2000):
         store.save(f"{i}" * 64, b"x" * payload_bytes)
 
 
-@pytest.mark.parametrize("memory_limit", (0, 64))
-def test_gc_evicts_least_recently_used_first(tmp_path, memory_limit):
+def test_gc_evicts_least_recently_used_first(tmp_path):
     import os
 
-    store = ArtifactStore(tmp_path, memory_limit=memory_limit)
+    store = ArtifactStore(tmp_path)
     _fill(store, 4)
     # Age the files deterministically: key 0 oldest ... key 3 newest.
     for i in range(4):
         os.utime(store.path_for(f"{i}" * 64), (1000.0 + i, 1000.0 + i))
-    # Touch key 0 by loading it (from memory when the layer is on): it
-    # becomes the most recent.
+    # Touch key 0 by loading it: it becomes the most recent.
     assert store.load("0" * 64) is not None
     sizes = [size for _, _, size, _ in store.disk_entries()]
     budget = sum(sizes) - 1  # force exactly one eviction
@@ -213,7 +188,7 @@ def test_gc_reports_only_without_budget(tmp_path):
 
 
 def test_save_triggers_gc_under_configured_budget(tmp_path):
-    store = ArtifactStore(tmp_path, max_disk_bytes=5000, memory_limit=0)
+    store = ArtifactStore(tmp_path, max_disk_bytes=5000)
     _fill(store, 5)
     assert store.disk_bytes() <= 5000
     assert store.evictions > 0 and store.evicted_bytes > 0
@@ -222,44 +197,14 @@ def test_save_triggers_gc_under_configured_budget(tmp_path):
     assert stats["disk_bytes"] == store.disk_bytes()
 
 
-def test_pinned_keys_survive_any_pressure(tmp_path):
-    store = ArtifactStore(tmp_path, memory_limit=0)
-    _fill(store, 3)
-    pinned = "1" * 64
-    store.pin(pinned)
-    swept = store.gc(max_bytes=0)
-    assert store.has(pinned)            # survived a zero budget
-    assert swept["evicted"] == 2        # everything unpinned went
-    assert swept["kept_bytes"] > 0
-    # Pins nest: one unpin of two leaves it protected.
-    store.pin(pinned)
-    store.unpin(pinned)
-    assert store.pinned(pinned)
-    store.gc(max_bytes=0)
-    assert store.has(pinned)
-    # The last unpin re-enables eviction.
-    store.unpin(pinned)
-    assert not store.pinned(pinned)
-    store.gc(max_bytes=0)
-    assert not store.has(pinned)
-
-
-def test_memory_layer_is_lru_on_access(tmp_path):
-    store = ArtifactStore(tmp_path, memory_limit=2)
-    store.save("a" * 64, 1)
-    store.save("b" * 64, 2)
-    assert store.load("a" * 64) == 1    # refresh "a"
-    store.save("c" * 64, 3)             # evicts "b", not "a"
-    assert list(store._memory) == ["a" * 64, "c" * 64]
-
-
-def test_read_only_root_degrades_to_memory(tmp_path):
-    root = tmp_path / "ro"
-    root.mkdir()
-    root.chmod(0o500)
-    store = ArtifactStore(root)
-    try:
-        store.save("b" * 64, 42)       # disk write fails silently
-        assert store.load("b" * 64) == 42  # memory layer still serves
-    finally:
-        root.chmod(0o700)
+def test_unwritable_root_degrades_to_no_cache(tmp_path):
+    # A root under a regular file cannot be created, even by root (a
+    # permission bit would not stop a superuser).
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    store = ArtifactStore(blocker / "artifacts")
+    store.save("b" * 64, 42)            # disk write fails silently
+    assert store.load("b" * 64) is None
+    assert not store.has("b" * 64)
+    assert store.misses == 1
+    assert store.gc(max_bytes=0)["kept_bytes"] == 0

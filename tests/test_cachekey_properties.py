@@ -4,7 +4,8 @@ The static analyzer's C-codes prove the *source* reads what the key
 hashes; these tests prove the *values* behave: perturbing any hashed
 :class:`~repro.runner.matrix.JobSpec` field changes the cell key
 whenever the policy actually consumes the field, and leaves it
-unchanged when :meth:`PolicyParams.normalized` drops the knob — the
+unchanged when :meth:`PolicyParams.normalized` drops the knob, or
+when the policy does not read budgets and the field is the slack — the
 two directions of soundness (no stale-result collisions) and stability
 (no needless cache misses).
 """
@@ -24,13 +25,20 @@ from repro.tech import default_technology
 _TECH = default_technology()
 _CTX = _ExecContext(tech=_TECH, store=None, verify=False)
 
-#: Fields PolicyParams.normalized() keeps, per policy.  design/policy/
-#: slack are live for every policy (slack selects the budget targets).
+#: Fields PolicyParams.normalized() keeps, per policy.  design/policy
+#: are live for every policy; slack (it selects the budget targets)
+#: only for a policy that reads budgets — see :func:`_live`.
 _LIVE_KNOBS = {
     Policy.RANDOM: {"random_fraction", "random_seed"},
     Policy.SMART: {"lambda_track"},
     Policy.SMART_SHIELD: {"lambda_track"},
 }
+
+
+def _live(job: JobSpec) -> set[str]:
+    """The hashed fields ``job``'s flow actually reads."""
+    slack = {"slack"} if job.policy.reads_budgets else set()
+    return {"design", "policy"} | slack | _LIVE_KNOBS.get(job.policy, set())
 
 
 def _targets(job: JobSpec) -> RobustnessTargets:
@@ -92,7 +100,7 @@ def test_manifest_covers_every_jobspec_field():
 @given(job=_jobs)
 def test_live_field_perturbation_changes_the_key(job: JobSpec):
     base = _key(job)
-    live = {"design", "policy", "slack"} | _LIVE_KNOBS.get(job.policy, set())
+    live = _live(job)
     for field in _hashed_fields():
         if field not in live:
             continue
@@ -103,10 +111,11 @@ def test_live_field_perturbation_changes_the_key(job: JobSpec):
 @settings(max_examples=40, deadline=None)
 @given(job=_jobs)
 def test_dead_knob_perturbation_keeps_the_key(job: JobSpec):
-    # normalized() drops knobs the policy never reads; equivalent jobs
-    # must map to the same cache entry.
+    # normalized() drops knobs the policy never reads, and a policy
+    # that reads no budgets is the same cell at every slack; equivalent
+    # jobs must map to the same cache entry.
     base = _key(job)
-    live = {"design", "policy", "slack"} | _LIVE_KNOBS.get(job.policy, set())
+    live = _live(job)
     for field in _hashed_fields():
         if field in live:
             continue
@@ -119,9 +128,12 @@ def test_dead_knob_perturbation_keeps_the_key(job: JobSpec):
 def test_distinct_normalized_jobs_never_collide(job: JobSpec,
                                                other: JobSpec):
     def identity(j: JobSpec) -> tuple:
-        params = j.policy_params()
-        return (j.design, j.slack if j.slack is None else round(j.slack, 12),
-                params)
+        slack: object = j.slack
+        if not j.policy.reads_budgets:
+            slack = "any"  # one cell at every slack
+        elif j.slack is not None:
+            slack = round(j.slack, 12)
+        return (j.design, slack, j.policy_params())
 
     if identity(job) != identity(other):
         assert _key(job) != _key(other)

@@ -137,7 +137,7 @@ def test_reference_computed_once_per_design(tiny_ref, tmp_path):
 
 
 def test_all_ndr_cell_rewraps_cached_reference(tiny_ref, tmp_path):
-    """A pegged ALL-NDR cell reuses the reference flow, not a re-run."""
+    """A pegged ALL-NDR cell reads the reference's record, not a re-run."""
     runner = _runner(tmp_path)
     result = runner.run([JobSpec(design=tiny_ref,
                                  policy=Policy.ALL_NDR)])[0]
@@ -252,7 +252,7 @@ def test_warm_api_calls_read_records_only(tiny_ref, tmp_path, unverified,
              (api.run, api.FlowRequest(design=tiny_ref, policy="smart",
                                        slack=0.3))]
     cold = [call(request, store=store) for call, request in calls]
-    assert "FlowResult" not in loads  # even a cold ALL-NDR cell re-wraps
+    assert "FlowResult" not in loads  # a cold ALL-NDR cell reads a record
     loads.clear()
     warm = [call(request, store=store) for call, request in calls]
     assert loads and set(loads) == {"CellRecord"}
@@ -260,22 +260,40 @@ def test_warm_api_calls_read_records_only(tiny_ref, tmp_path, unverified,
     assert [_timeless(w) for w in warm] == [_timeless(c) for c in cold]
 
 
-def test_all_ndr_record_rewrap_matches_direct_run(tiny_ref, tmp_path,
-                                                  unverified, loads):
-    """Re-judging the reference record equals running the pegged flow."""
+def test_budget_blind_cells_share_one_record(tiny_ref, tmp_path,
+                                             unverified, monkeypatch):
+    """A policy that reads no budgets measures the same at every slack:
+    one record serves all its cells, each judged under its own budgets.
+    A budget-reading policy keeps one record per slack."""
+    saved = _saved_keys(monkeypatch)
     runner = _runner(tmp_path)
-    for slack in (0.0, 0.15):
-        result = runner.run([JobSpec(design=tiny_ref, policy=Policy.ALL_NDR,
-                                     slack=slack)])[0]
-        assert result.cached and result.flow is None
-        direct = run_flow(resolve_design(tiny_ref), policy=Policy.ALL_NDR,
-                          targets=runner.targets_for(tiny_ref, slack=slack))
-        assert result.summary == direct.summary()
-        assert result.feasible == direct.feasible
-    assert "FlowResult" not in loads
+    blind = (Policy.NO_NDR, Policy.ALL_NDR, Policy.WIDTH_ONLY,
+             Policy.SPACE_ONLY, Policy.RANDOM)
+    jobs = [JobSpec(design=tiny_ref, policy=p, slack=s)
+            for p in blind for s in (None, 0.0, 0.15, 0.6)]
+    jobs += [JobSpec(design=tiny_ref, policy=Policy.SMART, slack=s)
+             for s in (0.15, 0.6)]
+    results = runner.run(jobs)
+    assert "FlowResult" not in saved
+    records = [record for _, record in saved["CellRecord"]]
+    assert len({k for k, _ in saved["CellRecord"]}) == len(records) \
+        == len(blind) + 2
+    # The ALL-NDR reference ran first, for the budgets: every ALL-NDR
+    # cell is then a hit, and so is every further slack of a policy.
+    assert sum(not r.cached for r in results) == len(records) - 1
+    design = resolve_design(tiny_ref)
+    for result in results:
+        job = result.job
+        targets = (None if job.slack is None
+                   else runner.targets_for(tiny_ref, slack=job.slack))
+        direct = run_flow(design, policy=job.policy, targets=targets)
+        assert result.summary == direct.summary(), job.label  # bit for bit
+        assert result.feasible == direct.feasible, job.label
+    # The shared records are judged anew: some verdicts differ by slack.
+    assert len({r.feasible for r in results}) == 2
 
 
-def test_cell_record_retarget_judges_like_the_flow(tiny_design):
+def test_cell_record_judges_like_the_flow(tiny_design):
     from dataclasses import replace
 
     from repro.core.targets import RobustnessTargets
@@ -283,6 +301,7 @@ def test_cell_record_retarget_judges_like_the_flow(tiny_design):
 
     flow = run_flow(tiny_design, policy=Policy.ALL_NDR)
     record = CellRecord.of(flow)
+    assert "feasible" not in record.measurements
     loose = RobustnessTargets(max_worst_delta=1e6, max_skew_3sigma=1e6,
                               max_slew=1e6, max_em_util=1e6)
     budgets = [loose] + [replace(loose, **{name: 1e-6}) for name in (
@@ -290,10 +309,10 @@ def test_cell_record_retarget_judges_like_the_flow(tiny_design):
     verdicts = []
     for targets in budgets:
         rewrapped = replace(flow, targets=targets)
-        judged = record.retarget(targets)
-        assert judged.summary == rewrapped.summary()
-        assert judged.feasible == rewrapped.feasible
-        verdicts.append(judged.feasible)
+        summary, feasible = record.judged(targets)
+        assert summary == rewrapped.summary()
+        assert feasible == rewrapped.feasible
+        verdicts.append(feasible)
     assert verdicts == [True, False, False, False, False]
 
 
@@ -302,14 +321,19 @@ def test_warm_flow_callers_get_flows_matching_records(tiny_ref, tmp_path,
     from repro.verify import VerifyContext, run_checks
 
     store = str(tmp_path / "artifacts")
+    # The NO-NDR cell at 0.6 shares the 0.15 cell's record and flow.
     jobs = [JobSpec(design=tiny_ref, policy=p) for p in POLICIES]
+    jobs.append(JobSpec(design=tiny_ref, policy=Policy.NO_NDR, slack=0.6))
     cold = FlowRunner(store=store, verify=True).run(jobs)
-    warm_flows = FlowRunner(store=store, verify=False).run(
-        jobs, return_flows=True)
+    flow_runner = FlowRunner(store=store, verify=False)
+    warm_flows = flow_runner.run(jobs, return_flows=True)
     warm_verified = FlowRunner(store=store, verify=True).run(jobs)
     for c, f, v in zip(cold, warm_flows, warm_verified):
         assert f.cached and v.cached
         assert f.flow is not None and v.flow is None
+        # A loaded flow carries the cell's own budgets.
+        assert f.flow.targets == flow_runner.targets_for(tiny_ref,
+                                                         f.job.slack)
         assert f.flow.summary() == f.summary == c.summary  # bit for bit
         assert f.flow.rule_histogram == f.rule_histogram
         assert v.summary == c.summary
@@ -319,6 +343,11 @@ def test_warm_flow_callers_get_flows_matching_records(tiny_ref, tmp_path,
     # The loaded engine is what the oracle inspects, and it is coherent.
     report = run_checks(VerifyContext.from_flow(smart), kinds=["oracle"])
     assert not report.has_errors, report.render()
+
+
+def _measurements(summary: dict[str, float]) -> dict[str, float]:
+    """A cell summary without its verdict (what a record stores)."""
+    return {k: v for k, v in summary.items() if k != "feasible"}
 
 
 def _saved_keys(monkeypatch) -> dict[str, list[tuple[str, object]]]:
@@ -345,11 +374,12 @@ def test_record_only_callers_save_no_flows(tiny_ref, tmp_path, unverified,
     report = api.compare(api.CompareRequest(design=tiny_ref, slack=0.15),
                          store=store)
     assert set(saved) == {"PhysicalDesign", "CellRecord"}
-    # One record per cell: the three policies and the ALL-NDR reference.
+    # One record per cell: NO-NDR, SMART and the ALL-NDR reference,
+    # which the pegged ALL-NDR cell shares.
     records = saved["CellRecord"]
-    assert len({k for k, _ in records}) == len(records) == 4
-    summaries = [r.summary for _, r in records]
-    assert all(c.summary in summaries for c in report.cells)
+    assert len({k for k, _ in records}) == len(records) == 3
+    measured = [r.measurements for _, r in records]
+    assert all(_measurements(c.summary) in measured for c in report.cells)
 
     # A flow caller recomputes the cell once, from the cached build, and
     # saves both artifacts; the recomputed flow equals the record.
@@ -376,7 +406,7 @@ def test_missing_flow_and_corrupt_record(tiny_ref, tmp_path, unverified,
     (flow_key, _), = [(k, f) for k, f in saved["FlowResult"]
                       if f.policy == Policy.SMART]
     (record_key, _), = [(k, r) for k, r in saved["CellRecord"]
-                        if r.summary == cold.summary]
+                        if r.measurements == _measurements(cold.summary)]
     store = ArtifactStore(root)
     store.path_for(flow_key).unlink()
 

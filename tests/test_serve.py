@@ -8,8 +8,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.serve import (ApiError, Coalescer, Router, ServeConfig,
-                         ServeDaemon, response_store_key)
+from repro.serve import ApiError, Coalescer, Router, ServeConfig, ServeDaemon
 from repro.serve.router import HttpResponse, parse_request_head
 
 
@@ -37,7 +36,7 @@ def test_concurrent_identical_keys_compute_once():
     assert coalescer.coalesced == 7
     assert all(value == {"answer": 42} for value, _ in results)
     assert sum(1 for _, coalesced in results if coalesced) == 7
-    assert coalescer.inflight == 0 and coalescer.waiters("k") == 0
+    assert coalescer.inflight == 0
 
 
 def test_distinct_keys_compute_separately():
@@ -79,31 +78,6 @@ def test_failures_propagate_and_clear_the_key():
     assert all(isinstance(o, RuntimeError) for o in outcomes)
     assert retry == "recovered" and not coalesced
     assert coalescer.computations == 2  # the failure and the retry
-
-
-def test_pin_hooks_balance_and_span_the_flight():
-    events = []
-
-    async def main():
-        coalescer = Coalescer(
-            on_first=lambda k: events.append(("pin", k)),
-            on_last=lambda k: events.append(("unpin", k)))
-
-        async def supplier():
-            await asyncio.sleep(0.01)
-            # Every waiter joined while in flight: all are pinned now.
-            events.append(("inflight_waiters", coalescer.waiters("k")))
-            return "v"
-
-        await asyncio.gather(*[coalescer.run("k", supplier)
-                               for _ in range(5)])
-        return coalescer
-
-    asyncio.run(main())
-    assert events[0] == ("pin", "k") and events[-1] == ("unpin", "k")
-    assert events.count(("pin", "k")) == 1
-    assert events.count(("unpin", "k")) == 1
-    assert ("inflight_waiters", 5) in events
 
 
 # -- router / http plumbing ---------------------------------------------------
@@ -303,8 +277,13 @@ def test_daemon_shutdown_endpoint_is_clean(tmp_path):
 
 
 def test_eviction_never_removes_inflight_response(tmp_path, tiny_ref):
-    """GC under a zero budget while a request is in flight: the pinned
-    response artifact survives; everything else is evictable."""
+    """GC under a zero budget while identical requests are in flight:
+    coalesced waiters read the leader's result, not the store, so every
+    one gets a full result, and a repeat computes the same one."""
+    async def until_inflight(daemon):
+        while daemon.coalescer.inflight == 0:
+            await asyncio.sleep(0.005)
+
     async def main():
         daemon = ServeDaemon(_daemon_config(tmp_path, max_store_bytes=0))
         await daemon.start()
@@ -313,27 +292,29 @@ def test_eviction_never_removes_inflight_response(tmp_path, tiny_ref):
             waiters = [asyncio.create_task(
                 _post_json(daemon.port, "/v1/run", payload))
                 for _ in range(3)]
-            # Let the request reach the coalescer (pin installed).
-            await asyncio.sleep(0.05)
-            from repro.api import FlowRequest
-
-            key = FlowRequest.from_dict(
-                {**payload, "kind": "run"}).content_key()
-            pinned_key = response_store_key(key)
-            assert daemon.store.pinned(pinned_key)
+            await asyncio.wait_for(until_inflight(daemon), timeout=30)
             swept = daemon.store.gc(max_bytes=0)
+            assert daemon.coalescer.inflight == 1  # the sweep was mid-flight
             results = await asyncio.gather(*waiters)
-            # The response survived the zero-budget sweep and every
-            # waiter read a full result.
-            assert daemon.store.has(pinned_key)
-            return daemon, swept, results
+            repeat = await _post_json(daemon.port, "/v1/run", payload)
+            return daemon.stats(), swept, results, repeat
         finally:
             await daemon.stop()
 
-    daemon, swept, results = asyncio.run(main())
+    stats, swept, results, repeat = asyncio.run(main())
+    assert swept["kept_bytes"] == 0
     assert all(status == 200 and env["result"]["summary"]["power_uw"] > 0
                for status, env in results)
-    # After the last waiter left, the pin is released: a later sweep
-    # under the same budget may evict it.
-    assert not daemon.store.pinned(
-        response_store_key(results[0][1]["key"]))
+    assert sorted(env["coalesced"] for _, env in results) \
+        == [False, True, True]
+    # Every save under the zero budget evicts, so the repeat computes
+    # again from an empty store, and gets the same result.
+    status, env = repeat
+    assert status == 200 and not env["cached"]
+    assert stats["coalescer"]["computations"] == 2
+    def measured(result):
+        return {k: v for k, v in result.items()
+                if k not in ("cached", "runtime_s")}
+
+    assert all(measured(e["result"]) == measured(env["result"])
+               for _, e in results)

@@ -10,7 +10,9 @@ Two checks, recorded in ``BENCH_runner.json`` at the repo root:
   the seed's serial compare path performed) against a warm rerun of
   the same matrix from the populated store.  The warm rerun must be
   at least 2x faster: every cell comes back as a deserialized
-  artifact, not a re-run flow.
+  artifact, not a re-run flow.  Both runs share one process, so a
+  full ``gc.collect()`` precedes each timed window: a cyclic-GC pass
+  over the cold run's dropped objects must not land in the warm one.
 
 Exits nonzero if either property fails, so CI can gate on it.
 
@@ -22,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import tempfile
@@ -68,10 +71,12 @@ def timing() -> dict:
     store = _fresh_store()
     matrix = _matrix(TIMING_DESIGN)
 
+    gc.collect()
     start = time.perf_counter()
     FlowRunner(store=store).run(matrix)
     cold_s = time.perf_counter() - start
 
+    gc.collect()
     start = time.perf_counter()
     warm = FlowRunner(store=store).run(matrix)
     warm_s = time.perf_counter() - start
