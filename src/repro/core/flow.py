@@ -6,27 +6,31 @@ policy, it drives the four-stage pipeline (:mod:`repro.core.stages`) —
 ``retrim``, ``analyze`` — and returns a fully analyzed
 :class:`FlowResult`.
 
-Every policy starts from a *fresh* physical build of the same design so
+Every policy starts from the same pristine default-rule build, so
 comparisons are apples-to-apples (the skew-trimming pads are re-derived
 under each policy's own extraction).  With an
 :class:`~repro.io.artifacts.ArtifactStore` passed as ``store``, the
-deterministic default-rule build is computed once per (design, tech,
-stage params) and each policy receives its own snapshot of it — same
-semantics, one build instead of one per cell.
+deterministic build is computed once per (design, tech, stage params);
+with a :class:`~repro.core.stages.BuildMemo` passed as ``memo``, each
+policy receives its own fork of the build the memo keeps
+(:meth:`PhysicalDesign.fork`) — same results as a fresh build, one
+build instead of one per cell.  A flow on a fork shares its design,
+technology and signal wires read-only with the other forks.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.evaluation import AnalysisBundle
 from repro.core.optimizer import OptimizeResult
 from repro.core.policies import Policy
-from repro.core.stages import (BuildParams, PolicyParams, analyze_stage,
-                               build_stage, policy_stage, retrim_stage)
+from repro.core.stages import (BuildMemo, BuildParams, PolicyParams,
+                               analyze_stage, build_stage, policy_stage,
+                               retrim_stage)
 from repro.core.targets import RobustnessTargets
 from repro.cts.refine import RefineResult
 from repro.cts.synthesize import CtsResult
@@ -51,6 +55,22 @@ class PhysicalDesign:
     @property
     def extraction(self) -> Extraction:
         return self.refine.extraction
+
+    def fork(self) -> "PhysicalDesign":
+        """A copy that a policy, retrim and analysis may write freely.
+
+        The fork owns what those stages write: the clock wires, the
+        tree nodes, the RC network and the extraction's parasitics and
+        neighbor maps.  The design, the technology, the signal wires
+        and the track occupancy are shared read-only.
+        """
+        tree = self.tree.fork()
+        routing = self.routing.fork()
+        return PhysicalDesign(
+            design=self.design, tech=self.tech, tree=tree, routing=routing,
+            cts=replace(self.cts, tree=tree),
+            refine=replace(self.refine,
+                           extraction=self.extraction.fork(routing)))
 
 
 @dataclass
@@ -106,7 +126,7 @@ def build_physical_design(design: Design, tech: Optional[Technology] = None,
     """CTS + routing + skew trim, with all wires on the default rule.
 
     With ``store`` (an :class:`~repro.io.artifacts.ArtifactStore`), the
-    build is content-addressed and a hit returns a fresh snapshot.
+    build is content-addressed and a hit returns a fresh deserialisation.
     """
     tech = tech if tech is not None else default_technology()
     return build_stage(design, tech,
@@ -118,7 +138,7 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
              targets: Optional[RobustnessTargets] = None,
              random_fraction: float = 0.3, random_seed: int = 0,
              guide=None, lambda_track: float = 0.05,
-             store=None) -> FlowResult:
+             store=None, memo: Optional[BuildMemo] = None) -> FlowResult:
     """Run one policy end to end on ``design``.
 
     Parameters
@@ -134,9 +154,13 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
         Only used by ``Policy.RANDOM``.
     store:
         Optional :class:`~repro.io.artifacts.ArtifactStore`; the build
-        stage is then shared across invocations (each policy mutates
-        its own snapshot, so results are bitwise identical to a fresh
+        stage is then shared across invocations (a hit is a fresh
+        deserialisation, so results are bitwise identical to a fresh
         build).
+    memo:
+        Optional :class:`~repro.core.stages.BuildMemo`; a build it
+        keeps is forked instead of loaded or rebuilt, and a computed
+        build is kept in it (results are bitwise identical again).
 
     For the optimizing policies, an EM violation that survives with
     every violating wire already at the widest rule means no rule
@@ -163,7 +187,7 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
     for attempt in range(3):
         physical = build_stage(design, tech,
                                BuildParams(max_stage_cap=max_stage_cap),
-                               store=store)
+                               store=store, memo=memo)
         routing = physical.routing
 
         optimize = policy_stage(physical, targets, policy_params,
@@ -172,9 +196,12 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
         # Rule changes shift stage delays; re-trim and take final
         # analyses.  When the optimizer ran with its incremental engine,
         # keep driving it — the final refine then rebuilds only the
-        # trimmed stages instead of re-extracting the network.
+        # trimmed stages instead of re-extracting the network.  A
+        # routing still on the build's rules keeps the build's trim: an
+        # engine-free retrim would re-derive it bit for bit.
         engine = optimize.engine if optimize is not None else None
-        retrim_stage(physical, engine=engine)
+        if engine is not None or not _on_build_rules(routing, tech):
+            retrim_stage(physical, engine=engine)
         analyses = analyze_stage(physical, targets, engine=engine)
 
         if not policy.reads_budgets \
@@ -203,6 +230,13 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
         assert_flow_clean(result,
                           f"run_flow({design.name!r}, {policy.value})")
     return result
+
+
+def _on_build_rules(routing: RoutingResult, tech: Technology) -> bool:
+    """True when every clock wire is on the default rule, unshielded."""
+    default = tech.default_rule
+    return all(w.rule == default and not w.shielded
+               for w in routing.clock_wires)
 
 
 def _em_fixable_by_rules(analyses: AnalysisBundle, routing: RoutingResult,

@@ -489,32 +489,36 @@ class SmartNdrOptimizer:
         if not candidates:
             return extraction, analyses, 0
 
-        saved = {wid: (self.routing.tracks.wire(wid).rule,
-                       self.routing.tracks.wire(wid).shielded)
-                 for wid in candidates}
-        for wire_id in candidates:
-            self.routing.assign_rule(wire_id, self._default)
-            self.routing.assign_shield(wire_id, False)
-        if engine is not None:
-            engine.apply_rule_changes(candidates)
-        new_extraction = refine_skew(self.tree, self.routing, self.tech,
-                                     engine=engine).extraction
-        new_analyses = analyze_all(new_extraction, self.tech, self.freq,
-                                   self.targets, engine=engine)
-        if new_analyses.feasible(self.targets):
+        with obs.span("opt.downgrade", candidates=len(candidates)) as span:
+            saved = {wid: (self.routing.tracks.wire(wid).rule,
+                           self.routing.tracks.wire(wid).shielded)
+                     for wid in candidates}
             for wire_id in candidates:
-                del upgraded[wire_id]
-            return new_extraction, new_analyses, len(candidates)
-        for wire_id, (rule, shielded) in saved.items():
-            self.routing.assign_rule(wire_id, rule)
-            self.routing.assign_shield(wire_id, shielded)
-        if engine is not None:
-            engine.apply_rule_changes(candidates)
-        extraction = refine_skew(self.tree, self.routing, self.tech,
-                                 engine=engine).extraction
-        analyses = analyze_all(extraction, self.tech, self.freq,
-                               self.targets, engine=engine)
-        return extraction, analyses, 0
+                self.routing.assign_rule(wire_id, self._default)
+                self.routing.assign_shield(wire_id, False)
+            if engine is not None:
+                engine.apply_rule_changes(candidates)
+            new_extraction = refine_skew(self.tree, self.routing, self.tech,
+                                         engine=engine).extraction
+            new_analyses = analyze_all(new_extraction, self.tech, self.freq,
+                                       self.targets, engine=engine)
+            accepted = new_analyses.feasible(self.targets)
+            if span is not None:
+                span.attrs["accepted"] = accepted
+            if accepted:
+                for wire_id in candidates:
+                    del upgraded[wire_id]
+                return new_extraction, new_analyses, len(candidates)
+            for wire_id, (rule, shielded) in saved.items():
+                self.routing.assign_rule(wire_id, rule)
+                self.routing.assign_shield(wire_id, shielded)
+            if engine is not None:
+                engine.apply_rule_changes(candidates)
+            extraction = refine_skew(self.tree, self.routing, self.tech,
+                                     engine=engine).extraction
+            analyses = analyze_all(extraction, self.tech, self.freq,
+                                   self.targets, engine=engine)
+            return extraction, analyses, 0
 
 
 def _dd_index(extraction: Extraction) -> tuple[dict[int, int],

@@ -8,9 +8,13 @@ stages, each consuming and producing serializable artifacts:
     Deterministic in (design, technology, stage params), so its product
     is content-addressed: with an :class:`~repro.io.artifacts.ArtifactStore`
     the build is computed once per design and *shared* across policies,
-    slacks, and repeat invocations.  Per-policy fresh-build semantics
-    are preserved because the store always hands back a snapshot (a
-    fresh deserialisation) that the policy stage may mutate freely.
+    slacks, and repeat invocations.  With a :class:`BuildMemo` (one per
+    runner or worker) the build a caller computed stays pristine and
+    every cell gets a *fork* of it (:meth:`PhysicalDesign.fork`): its
+    own clock wires, tree nodes, RC network and extraction, over the
+    design, technology and signal wires shared read-only.  A build
+    read from the store is a fresh deserialisation and goes to its
+    cell as it is.
 ``policy``
     Rule assignment: one of the uniform baselines, the random baseline,
     the greedy optimizer, or the ML guide.  Mutates the routing in
@@ -21,7 +25,8 @@ stages, each consuming and producing serializable artifacts:
     The full robustness/power analysis bundle of the final extraction.
 
 Each stage opens a ``flow.<stage>`` span (:mod:`repro.obs`), so a
-traced run shows the pipeline breakdown per cell.
+traced run shows the pipeline breakdown per cell; handing out a fork
+opens ``flow.fork``.
 """
 
 from __future__ import annotations
@@ -77,18 +82,53 @@ class PolicyParams:
         return PolicyParams(policy=self.policy)
 
 
+class BuildMemo:
+    """The last build a runner computed, kept pristine for its next cells.
+
+    One entry, matched by the identity of the resolved design and
+    technology and by equal :class:`BuildParams`, so a hit hashes
+    nothing.  :func:`build_stage` never hands the entry itself out,
+    only forks of it.
+    """
+
+    def __init__(self) -> None:
+        self._entry: Optional[tuple[Design, Technology, BuildParams,
+                                    "PhysicalDesign"]] = None
+
+    def get(self, design: Design, tech: Technology,
+            params: BuildParams) -> Optional["PhysicalDesign"]:
+        """The kept build of ``(design, tech, params)``, or None."""
+        entry = self._entry
+        if entry is None or entry[0] is not design or entry[1] is not tech \
+                or entry[2] != params:
+            return None
+        return entry[3]
+
+    def put(self, design: Design, tech: Technology, params: BuildParams,
+            physical: "PhysicalDesign") -> None:
+        """Keep ``physical``, replacing the previous entry."""
+        self._entry = (design, tech, params, physical)
+
+
 def build_stage(design: Design, tech: Technology,
                 params: BuildParams = BuildParams(),
-                store=None) -> "PhysicalDesign":
+                store=None, memo: Optional[BuildMemo] = None
+                ) -> "PhysicalDesign":
     """CTS + route + trim on the default rule; cached when ``store`` given.
 
-    A cache hit returns a fresh deserialisation (never a shared live
-    object), so the caller may mutate the result; a cache miss builds,
-    snapshots the pristine state into the store, and returns the live
-    build.
+    The caller may mutate what it gets.  With ``memo``, a build the
+    memo holds comes back as a fork, and a computed build is kept in
+    the memo and comes back as a fork too.  A store hit is a fresh
+    deserialisation, returned as it is; a computed build is saved to
+    the store before anything can touch it.  Without ``memo``, a
+    computed build is returned live.
     """
     from repro.core.flow import PhysicalDesign
 
+    if memo is not None:
+        kept = memo.get(design, tech, params)
+        if kept is not None:
+            return _fork(kept)
     if store is not None:
         from repro.io.artifacts import (content_key, design_fingerprint,
                                         technology_fingerprint)
@@ -109,7 +149,15 @@ def build_stage(design: Design, tech: Technology,
                                   routing=routing, cts=cts, refine=refine)
     if store is not None:
         store.save(key, physical)
-    return physical
+    if memo is None:
+        return physical
+    memo.put(design, tech, params, physical)
+    return _fork(physical)
+
+
+def _fork(physical: "PhysicalDesign") -> "PhysicalDesign":
+    with obs.span("flow.fork"):
+        return physical.fork()
 
 
 def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,

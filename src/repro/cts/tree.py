@@ -274,6 +274,25 @@ class ClockTree:
             if node.is_sink and node.children:
                 raise ValueError(f"sink node {node.node_id} has children")
 
+    def fork(self) -> "ClockTree":
+        """A copy whose nodes and child lists are its own.
+
+        A node's other fields are numbers or objects nothing writes
+        after synthesis (location, sink pin, buffer cell), so one
+        shallow copy per node isolates every trim the fork makes.
+        """
+        twin = ClockTree.__new__(ClockTree)
+        nodes: dict[int, ClockNode] = {}
+        for node_id, node in self._nodes.items():
+            copy = ClockNode.__new__(ClockNode)
+            copy.__dict__.update(node.__dict__)
+            copy.children = list(node.children)
+            nodes[node_id] = copy
+        twin._nodes = nodes
+        twin._next_id = self._next_id
+        twin.root_id = self.root_id
+        return twin
+
     def _check_id(self, node_id: int) -> None:
         if node_id not in self._nodes:
             raise KeyError(f"no node with id {node_id}")

@@ -104,6 +104,22 @@ class Extraction:
                for wid, deps in self._neighbor_rev.items()}
         return fwd, rev
 
+    def fork(self, routing: RoutingResult) -> "Extraction":
+        """This extraction over ``routing`` (a fork of its own routing).
+
+        The parasitics and neighbor maps are copied, since re-extraction
+        replaces their entries; the parasitics records themselves are
+        never written in place and are shared.
+        """
+        return Extraction(
+            routing=routing, wires=dict(self.wires),
+            network=self.network.fork(),
+            _wire_cap_total=self._wire_cap_total,
+            _coupling_total=self._coupling_total,
+            _neighbor_fwd=dict(self._neighbor_fwd),
+            _neighbor_rev={wire_id: set(deps)
+                           for wire_id, deps in self._neighbor_rev.items()})
+
     def dependents_of(self, wire_ids: Iterable[int]) -> set[int]:
         """Touched wires plus every victim whose coupling reads them."""
         dirty = set(wire_ids)

@@ -151,6 +151,29 @@ class ClockRcNetwork:
     def total_wire_cap(self) -> float:
         return sum(stage.total_cap for stage in self.stages)
 
+    def fork(self) -> "ClockRcNetwork":
+        """A network whose stages and RC nodes are its own.
+
+        A wire patch or trim writes node and stage values, and a stage
+        rebuild replaces the stage, so stage sinks, the stage index and
+        the wire-site index are shared read-only.
+        """
+        stages = []
+        for stage in self.stages:
+            nodes = []
+            for node in stage.nodes:
+                copy = RcNode.__new__(RcNode)
+                copy.__dict__.update(node.__dict__)
+                copy.cap_wire = list(node.cap_wire)
+                nodes.append(copy)
+            stages.append(Stage(tree_node_id=stage.tree_node_id,
+                                driver=stage.driver, nodes=nodes,
+                                sinks=stage.sinks, pad_cap=stage.pad_cap,
+                                snake_cap=stage.snake_cap))
+        return ClockRcNetwork(stages=stages, root_stage=self.root_stage,
+                              stage_of_tree_node=self.stage_of_tree_node,
+                              _wire_sites=self._wire_sites)
+
     # -- incremental patching --------------------------------------------------
 
     def _sites(self) -> dict[int, tuple[int, int, int]]:

@@ -9,9 +9,12 @@ to the same key, across processes and across interpreter runs.
 The store is one on-disk tree of pickle files under
 ``root/<kk>/<key>.pkl``, shared by worker processes and by repeat
 invocations.  Every hit deserialises a fresh object graph, so callers
-can mutate the returned artifact freely without poisoning the cache
-(the snapshot semantics ``run_flow`` relies on).  A root that cannot
-be written degrades to no cache: saves are dropped and loads miss.
+can mutate the returned artifact freely without poisoning the cache:
+a build read from the store goes to the one flow that read it, while
+a build a runner computed itself stays in memory, pristine, and each
+later cell runs on a fork of it
+(:class:`~repro.core.stages.BuildMemo`).  A root that cannot be
+written degrades to no cache: saves are dropped and loads miss.
 
 Corruption of a stored artifact (truncated write, stale schema,
 unpicklable payload) is never fatal: ``load`` returns ``None``, the

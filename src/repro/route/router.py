@@ -38,6 +38,23 @@ class RoutingResult:
     def clock_wires(self) -> list[RoutedWire]:
         return [w for w in self.wires if w.is_clock]
 
+    def fork(self) -> "RoutingResult":
+        """A routing whose clock wires are its own copies.
+
+        A rule assignment writes clock wires only (rule, shields), so
+        signal wires and track occupancy are shared read-only.
+        """
+        own: dict[int, RoutedWire] = {}
+        for wire in self.clock_wires:
+            copy = RoutedWire.__new__(RoutedWire)
+            copy.__dict__.update(wire.__dict__)
+            own[wire.wire_id] = copy
+        return RoutingResult(
+            tracks=self.tracks.fork(own),
+            wires=[own.get(w.wire_id, w) for w in self.wires],
+            edge_wires={child: [own[w.wire_id] for w in wires]
+                        for child, wires in self.edge_wires.items()})
+
     @property
     def signal_wires(self) -> list[RoutedWire]:
         return [w for w in self.wires if not w.is_clock]

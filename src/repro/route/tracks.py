@@ -86,6 +86,21 @@ class TrackManager:
         """The registered wire with this id."""
         return self._wires[wire_id]
 
+    def fork(self, own: dict[int, RoutedWire]) -> "TrackManager":
+        """A manager that resolves the ids in ``own`` to those wires.
+
+        Occupancy, keep-outs and the grid are shared read-only: a fork
+        answers queries over a finished routing and never registers or
+        blocks anything.
+        """
+        twin = TrackManager.__new__(TrackManager)
+        twin.grid = self.grid
+        twin._tracks = self._tracks
+        twin._blocked = self._blocked
+        twin._wires = {**self._wires, **own}
+        twin.overflows = self.overflows
+        return twin
+
     # -- verifier views ------------------------------------------------------------
 
     def occupancy(self) -> list[tuple[str, int, tuple[tuple[float, float, int], ...]]]:

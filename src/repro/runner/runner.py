@@ -9,7 +9,13 @@ product through an :class:`~repro.io.artifacts.ArtifactStore`:
   budgets runs once per design — a cached upstream job, not a per-cell
   recomputation;
 * the default-rule *build* is shared across every policy/slack cell of
-  a design (each cell mutates its own snapshot);
+  a design: the runner (and each pool worker) keeps the last build it
+  computed pristine in a :class:`~repro.core.stages.BuildMemo`, and
+  each cell runs on a fork of it
+  (:meth:`~repro.core.flow.PhysicalDesign.fork`); a build read from the
+  store goes to the one cell that read it.  A flow the runner returns
+  therefore shares its design, technology and signal wires read-only
+  with that runner's other flows;
 * a completed *cell* is cached as a compact :class:`CellRecord` (its
   measurements) under the ``flow-cell`` key, plus its full
   :class:`FlowResult` under a key derived from it only when the caller
@@ -48,6 +54,7 @@ from typing import Any, Callable, Iterable, Optional, Union
 from repro import obs
 from repro.core.flow import FlowResult, run_flow
 from repro.core.policies import Policy
+from repro.core.stages import BuildMemo
 from repro.core.targets import RobustnessTargets
 from repro.io.artifacts import ArtifactStore, content_key
 from repro.netlist.design import Design
@@ -151,6 +158,8 @@ class _ExecContext:
     #: design fingerprint -> resolved design, shared by every cell the
     #: context runs (an edited design JSON fingerprints anew)
     designs: dict[str, Design] = field(default_factory=dict)
+    #: the last build computed here, forked for every later cell of it
+    builds: BuildMemo = field(default_factory=BuildMemo)
 
     def design(self, ref: DesignRef) -> Design:
         """``ref`` resolved, once per design content."""
@@ -288,7 +297,8 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
                                 random_fraction=job.random_fraction,
                                 random_seed=job.random_seed,
                                 lambda_track=job.lambda_track,
-                                guide=ctx.guide, store=ctx.store)
+                                guide=ctx.guide, store=ctx.store,
+                                memo=ctx.builds)
                 record = CellRecord.of(flow)
                 if key is not None and store is not None:
                     _save_cell(store, key, record,
@@ -403,6 +413,7 @@ class FlowRunner:
         self.verify = verify
         self._ref_metrics: dict[DesignRef, RefMetrics] = {}
         self._designs: dict[str, Design] = {}
+        self._builds = BuildMemo()
 
     # -- single-cell API ------------------------------------------------------
 
@@ -410,7 +421,7 @@ class FlowRunner:
         return _ExecContext(tech=self.tech, store=self.store,
                             verify=self.verify, guide=self.guide,
                             return_flows=return_flows,
-                            designs=self._designs)
+                            designs=self._designs, builds=self._builds)
 
     def run_job(self, job: JobSpec, return_flow: bool = True) -> JobResult:
         """Execute one cell in-process (references resolved as needed).
@@ -453,11 +464,14 @@ class FlowRunner:
             ) -> list[JobResult]:
         """Execute every cell; results in matrix order.
 
-        Phase 1 computes the deduplicated all-NDR references (one per
-        design, shared by every slack and policy); phase 2 runs the
-        cells.  With ``jobs > 1`` both phases use a process pool.
-        Duplicate cells execute once and fan out to every position.
-        ``on_result`` fires in completion order as cells finish.
+        Each design's all-NDR reference is computed once, shared by
+        every slack and policy.  Serially, cells run in matrix order
+        and a cell computes its reference when it first needs it, so a
+        design's cells run together and fork one build.  With
+        ``jobs > 1`` a process pool computes the deduplicated
+        references first, then the cells; duplicate cells execute once
+        and fan out to every position.  ``on_result`` fires in
+        completion order as cells finish.
 
         When the session is traced, the whole run is one
         ``runner.matrix`` span; every worker's streamed trace payload
@@ -481,8 +495,6 @@ class FlowRunner:
                       references=len(ref_jobs),
                       workers=n_workers) as matrix_span:
             if n_workers <= 1:
-                for ref in ref_jobs:
-                    self._reference_metrics(ref.design)
                 serial: list[JobResult] = []
                 for job in job_list:
                     result = self.run_job(job, return_flow=return_flows)

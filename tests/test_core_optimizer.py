@@ -182,3 +182,23 @@ def test_run_rejects_extraction_of_another_routing(small_spec, tech):
                             phys.design.clock_freq)
     with pytest.raises(ValueError):
         opt.run(other.extraction)
+
+
+def test_downgrade_pass_is_traced(small_spec, reference_targets, tech):
+    from repro import obs
+
+    phys = build_physical_design(generate_design(small_spec), tech)
+    tracer = obs.enable("downgrade")
+    try:
+        result = SmartNdrOptimizer(phys.tree, phys.routing, tech,
+                                   reference_targets,
+                                   phys.design.clock_freq).run(
+                                       phys.extraction)
+    finally:
+        obs.disable()
+    assert result.feasible and result.upgraded
+    # This design's batch holds; an accepted batch reverts every
+    # candidate.
+    assert result.downgraded > 0
+    (span,) = [r for r in tracer.records if r.name == "opt.downgrade"]
+    assert span.attrs == {"candidates": result.downgraded, "accepted": True}

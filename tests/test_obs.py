@@ -222,32 +222,64 @@ def test_load_trace_rejects_dangling_parent(tmp_path):
 # -- runner propagation --------------------------------------------------------
 
 
-def _cell_shape(tracer) -> list[tuple]:
-    """(name, parent-name) pairs, order-normalised, durations dropped."""
+def _cell_shape(tracer) -> tuple[list[tuple], list[tuple]]:
+    """(name, parent-name) pairs, order-normalised, durations dropped.
+
+    Returns the pairs outside any ``flow.build`` subtree, and one
+    sorted tuple of pairs per build subtree (its root included): a
+    runner and each pool worker build a design once and fork that
+    build for every later cell, so how many builds a pool runs depends
+    on which worker draws which cell, but not what a build looks like.
+    """
     by_id = {r.span_id: r for r in tracer.records}
-    return sorted((r.name,
-                   by_id[r.parent_id].name if r.parent_id else None)
-                  for r in tracer.records)
+
+    def build_of(r) -> int | None:
+        while r is not None:
+            if r.name == "flow.build":
+                return r.span_id
+            r = by_id.get(r.parent_id)
+        return None
+
+    outside: list[tuple] = []
+    builds: dict[int, list[tuple]] = {}
+    for r in tracer.records:
+        pair = (r.name, by_id[r.parent_id].name if r.parent_id else None)
+        build = build_of(r)
+        if build is None:
+            outside.append(pair)
+        else:
+            builds.setdefault(build, []).append(pair)
+    return sorted(outside), [tuple(sorted(b)) for b in builds.values()]
 
 
 def test_worker_trace_shape_matches_in_process(tiny_ref):
     """A 2-worker matrix must yield the same single re-rooted trace
     shape as the serial run: every worker cell span under the parent's
-    runner.matrix span."""
+    runner.matrix span, and every worker build re-rooted with the
+    in-process build's shape."""
     matrix = RunMatrix(designs=(tiny_ref,),
                        policies=(Policy.NO_NDR, Policy.ALL_NDR),
                        slacks=(0.15,))
 
-    shapes = {}
+    shapes, builds = {}, {}
     for jobs in (1, 2):
         tracer = obs.enable(f"jobs{jobs}")
         FlowRunner(store=None).run(matrix, jobs=jobs)
-        shapes[jobs] = _cell_shape(tracer)
+        shapes[jobs], builds[jobs] = _cell_shape(tracer)
         obs.disable()
 
     assert shapes[1] == shapes[2]
-    # 2 cells + 1 shared all-NDR reference, all under runner.matrix.
+    # 2 cells + 1 shared all-NDR reference, all under runner.matrix,
+    # each on its own fork of the build.
     assert shapes[1].count((obs.CELL_SPAN, obs.MATRIX_SPAN)) == 3
+    assert shapes[1].count(("flow.fork", obs.CELL_SPAN)) == 3
+    # Serially the design builds once; each worker builds at most once,
+    # and every build has the same shape, re-rooted under a cell.
+    assert len(builds[1]) == 1
+    assert 1 <= len(builds[2]) <= 2
+    assert set(builds[1]) == set(builds[2])
+    assert builds[1] == [(("extract.full", "flow.build"),
+                          ("flow.build", obs.CELL_SPAN))]
 
 
 def test_traced_runner_counts_each_cell_exactly_once(tiny_ref):

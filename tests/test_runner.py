@@ -179,8 +179,9 @@ def test_phases_and_diagnostics_stream_back(tiny_ref, tmp_path):
     jobs = [JobSpec(design=tiny_ref, policy=p) for p in POLICIES]
     results = runner.run(jobs, jobs=2)
     smart = next(r for r in results if r.job.policy == Policy.SMART)
-    # The build itself was a store hit (phase 1 built it for the
-    # reference job), so the streamed phases start at the policy stage.
+    # The reference job built the design in phase 1; the SMART cell
+    # forks that build or reads it from the store, then streams its
+    # policy stage.
     assert "flow.policy" in smart.phases
     assert smart.phases["flow.policy"]["seconds"] >= 0.0
     for r in results:

@@ -8,8 +8,10 @@ results in ``BENCH_serve.json`` at the repo root:
 
 * **hot-repeat** — N clients all posting the *identical* request:
   after one cold fill this measures the response-cache fast path;
-* **cold-unique** — N clients posting N *distinct* requests (seed
-  sweep): every one is a real flow computation on the worker pool;
+* **cold-unique** — N clients posting N *distinct* smart runs (a slack
+  sweep, none at a slack another workload uses): each cell's budgets
+  are new, so every one is a real optimizer flow on the worker pool,
+  not a read of a stored cell record;
 * **sweep-burst** — a burst of identical sweep requests fired
   concurrently while cold: the coalescer must collapse them to one
   computation, so this is the single-flight proof.
@@ -110,9 +112,13 @@ async def drive(args: argparse.Namespace) -> dict:
         record["hot_repeat"] = await _workload(
             daemon, "/v1/compare", [hot_payload] * args.clients)
 
-        cold_payloads = [{"design": args.design, "slack": 0.3,
-                          "random_seed": seed, "policy": "smart"}
-                         for seed in range(args.clients)]
+        # Distinct slacks, not seeds: a smart cell's key drops the
+        # seed, so one record would answer every request.  Odd
+        # thousandths never hit the hot fill's 0.3 or the burst's 0.5/0.2.
+        cold_payloads = [{"design": args.design,
+                          "slack": round(0.301 + 0.002 * i, 3),
+                          "policy": "smart"}
+                         for i in range(args.clients)]
         record["cold_unique"] = await _workload(
             daemon, "/v1/run", cold_payloads)
 
