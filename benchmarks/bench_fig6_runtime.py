@@ -3,26 +3,17 @@
 Wall-clock time of the full flow per policy vs. design size.  Expected
 shape: uniform policies scale near-linearly in sink count; the greedy
 optimizer pays a small constant number of analyze/re-trim iterations on
-top (a few x); the ML-guided variant cuts the greedy gap by replacing
-the sensitivity loop with one prediction plus a short repair pass.
+top (a few x).
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 from conftest import emit
+from repro import obs
 from repro.core import Policy
 from repro.reporting import ExperimentRecord
 
 DESIGNS = ("ckt64", "ckt128", "ckt256", "ckt512", "ckt1024")
-
-#: Before/after record of the optimizer inner-loop speedup (engine off
-#: vs on), written next to the repo's other top-level artefacts.
-RUNTIME_JSON = Path(__file__).resolve().parent.parent \
-    / "BENCH_opt_runtime.json"
 
 
 def _collect(matrix) -> ExperimentRecord:
@@ -33,7 +24,7 @@ def _collect(matrix) -> ExperimentRecord:
 
     for name in DESIGNS:
         sinks = spec_by_name(name).n_sinks
-        for policy in (Policy.ALL_NDR, Policy.SMART, Policy.SMART_ML):
+        for policy in (Policy.ALL_NDR, Policy.SMART):
             flow = matrix.flow(name, policy)
             record.series_named(policy.value).add(sinks, flow.runtime)
     return record
@@ -54,12 +45,27 @@ def test_fig6_runtime_scaling(benchmark, capsys, matrix):
     assert smart.ys[-1] < 120.0 * max(smart.ys[0], 1e-3)  # static: ok[U002] 1ms runtime floor, not a conversion
 
 
-def test_fig6_optimizer_inner_loop_speedup(capsys, matrix):
-    """Incremental engine vs legacy full-rebuild loop on the largest design.
+def _span_counts(tracer) -> dict[str, int]:
+    return {name: int(entry["calls"])
+            for name, entry in tracer.phase_totals().items()}
 
-    Both runs start from identical fresh physical builds and must make
-    identical decisions; only the wall time may differ.  The before /
-    after pair is recorded in ``BENCH_opt_runtime.json``.
+
+def _downgrade_analyses(tracer) -> int:
+    """Full analyses the downgrade pass ran: one to judge its batch,
+    and one more to re-analyze the restored rules when it rejects."""
+    return sum(1 if r.attrs["accepted"] else 2 for r in tracer.records
+               if r.name == "opt.downgrade")
+
+
+def test_fig6_optimizer_inner_loop_speedup(capsys, matrix):
+    """The engine optimizer never leaves its incremental engine.
+
+    Engine-backed and reference (``use_engine=False``) runs start from
+    identical fresh builds and must make identical decisions.  What
+    makes the engine run fast is counted, not timed: it never extracts
+    the routing in full, and each of its full analyses is one engine
+    sweep.  The reference run extracts once per re-trim and never
+    touches the engine.
     """
     from repro.designs import generate_design, spec_by_name
     from repro.core.flow import build_physical_design
@@ -70,16 +76,33 @@ def test_fig6_optimizer_inner_loop_speedup(capsys, matrix):
     targets = matrix.targets_for(name)
     freq = generate_design(spec).clock_freq
 
-    def timed_run(use_engine: bool):
+    def traced_run(use_engine: bool):
         phys = build_physical_design(generate_design(spec), matrix.tech)
         opt = SmartNdrOptimizer(phys.tree, phys.routing, matrix.tech,
                                 targets, freq, use_engine=use_engine)
-        start = time.perf_counter()
-        result = opt.run(phys.extraction)
-        return time.perf_counter() - start, result
+        with obs.capture(f"opt:{use_engine}", reroot=False) as tracer:
+            result = opt.run(phys.extraction)
+        return tracer, result
 
-    before_s, legacy = timed_run(use_engine=False)
-    after_s, engine = timed_run(use_engine=True)
+    ref_trace, legacy = traced_run(use_engine=False)
+    eng_trace, engine = traced_run(use_engine=True)
+
+    eng = _span_counts(eng_trace)
+    ref = _span_counts(ref_trace)
+    sweeps = eng.get("opt.analyze", 0) + _downgrade_analyses(eng_trace)
+    refines = ref.get("opt.refine", 0) + _downgrade_analyses(ref_trace)
+    emit(capsys, f"optimizer inner loop on {name}: engine run "
+                 f"{eng.get('engine.monte_carlo', 0)} engine sweeps, "
+                 f"{eng.get('extract.full', 0)} full extractions; "
+                 f"reference run {ref.get('extract.full', 0)} full "
+                 f"extractions")
+    # Engine run: every re-trim patches the engine's extraction, and
+    # every full analysis is an engine sweep.
+    assert "extract.full" not in eng, eng
+    assert eng.get("engine.monte_carlo", 0) == sweeps, eng
+    # Reference run: one full extraction per re-trim, no engine at all.
+    assert ref.get("extract.full", 0) == refines > 0, ref
+    assert not [n for n in ref if n.startswith("engine.")], ref
 
     # Identical results: same upgrade decisions, same final metrics.
     assert engine.upgraded == legacy.upgraded
@@ -88,19 +111,3 @@ def test_fig6_optimizer_inner_loop_speedup(capsys, matrix):
                - legacy.analyses.power.p_total) < 1e-6
     assert abs(engine.analyses.mc.skew_3sigma
                - legacy.analyses.mc.skew_3sigma) < 1e-6
-
-    speedup = before_s / max(after_s, 1e-9)
-    payload = {
-        "design": name,
-        "n_sinks": spec.n_sinks,
-        "iterations": engine.iterations,
-        "num_upgraded": engine.num_upgraded,
-        "before_s": round(before_s, 3),
-        "after_s": round(after_s, 3),
-        "speedup": round(speedup, 2),
-    }
-    RUNTIME_JSON.write_text(json.dumps(payload, indent=2) + "\n",
-                            encoding="utf-8")
-    emit(capsys, f"optimizer inner loop on {name}: "
-                 f"{before_s:.2f}s -> {after_s:.2f}s ({speedup:.1f}x)")
-    assert speedup >= 3.0, payload

@@ -1,6 +1,6 @@
 """Figure 7 — Ablations of the smart optimizer's design choices.
 
-Three ablations on one design, against the same budgets:
+Two ablations on one design, against the same budgets:
 
 * **rule-set** — restrict the optimizer's upgrade space to width-only
   or spacing-only rules.  Expected: each missing axis gets bought some
@@ -13,9 +13,6 @@ Three ablations on one design, against the same budgets:
 * **congestion price (lambda_track)** — with the track price at zero,
   spacing upgrades look free and the optimizer stamps more of them
   (higher track cost for the same feasibility).
-* **feature importance** — which wire features the trained guide
-  actually uses (upstream resistance / coupling exposure should rank
-  near the top).
 """
 
 from __future__ import annotations
@@ -69,12 +66,7 @@ def _build(matrix):
 def test_fig7_ablations(benchmark, capsys, matrix):
     table, variants = benchmark.pedantic(_build, args=(matrix,),
                                          rounds=1, iterations=1)
-    guide = matrix.guide()
-    importances = sorted(guide.stats.feature_importances.items(),
-                         key=lambda kv: -kv[1])[:6]
-    text = table.render() + "\n\nGuide feature importances (top 6):\n" + \
-        "\n".join(f"  {name:>18}: {value:.3f}" for name, value in importances)
-    emit(capsys, text)
+    emit(capsys, table.render())
 
     full = variants["full lattice"]
     assert full.feasible

@@ -1,10 +1,9 @@
 """Table 2 — Clock switched capacitance and power per policy.
 
-The headline table: for every design, total switched capacitance and
-clock power of NO-NDR / ALL-NDR / SMART / SMART-ML, plus the smart
-policies' power saving over ALL-NDR.  Expected shape: ALL-NDR pays a
-double-digit percentage over NO-NDR; SMART lands within a few percent
-of NO-NDR while staying feasible; SMART-ML between SMART and ALL-NDR.
+The headline table: for every design, clock power of NO-NDR /
+ALL-NDR / SMART, plus SMART's power saving over ALL-NDR.  Expected
+shape: ALL-NDR pays a double-digit percentage over NO-NDR; SMART lands
+within a few percent of NO-NDR while staying feasible.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from repro.reporting import Table
 def _build_table(matrix) -> Table:
     table = Table(
         "Table 2: switched capacitance (fF) / clock power (uW) per policy",
-        ["design", "no-ndr P", "all-ndr P", "smart P", "smart-ml P",
-         "all-ndr ovh %", "smart save %", "ml save %", "smart feas"])
+        ["design", "no-ndr P", "all-ndr P", "smart P",
+         "all-ndr ovh %", "smart save %", "smart feas"])
     # Declare the full sub-matrix up front: missing cells run as one
     # batch through the FlowRunner (parallel under REPRO_BENCH_JOBS).
     matrix.ensure(TABLE_DESIGNS, TABLE_POLICIES)
@@ -27,16 +26,13 @@ def _build_table(matrix) -> Table:
         p_no = flows[Policy.NO_NDR].clock_power
         p_all = flows[Policy.ALL_NDR].clock_power
         p_smart = flows[Policy.SMART].clock_power
-        p_ml = flows[Policy.SMART_ML].clock_power
         table.add_row(
             name,
             p_no,
             p_all,
             p_smart,
-            p_ml,
             100.0 * (p_all - p_no) / p_no,
             100.0 * (p_all - p_smart) / p_all,
-            100.0 * (p_all - p_ml) / p_all,
             "yes" if flows[Policy.SMART].feasible else "NO",
         )
     return table

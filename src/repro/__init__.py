@@ -24,15 +24,15 @@ from repro.api import CompareReport, SweepReport, compare, sweep, trace_report
 from repro.designs import (DesignFamily, DesignSpec, benchmark_suite,
                            families, generate_design, resolve_selectors,
                            spec_by_name, spec_fingerprint)
-from repro.core import (FlowResult, NdrClassifierGuide, OptimizeResult,
-                        Policy, RobustnessTargets, SmartNdrOptimizer,
+from repro.core import (FlowResult, OptimizeResult, Policy,
+                        RobustnessTargets, SmartNdrOptimizer,
                         build_physical_design, run_flow)
 from repro.core.evaluation import AnalysisBundle, analyze_all, targets_from_reference
 from repro.netlist import Design
 from repro.tech import (RoutingRule, RuleName, RULE_SET, Technology,
                         default_technology, rule_by_name)
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "api",
@@ -50,7 +50,6 @@ __all__ = [
     "spec_by_name",
     "spec_fingerprint",
     "FlowResult",
-    "NdrClassifierGuide",
     "OptimizeResult",
     "Policy",
     "RobustnessTargets",

@@ -47,13 +47,12 @@ DEFAULT_DETERMINISM_ROOTS: tuple[str, ...] = (
 )
 
 #: Functions that execute inside worker processes: the pool
-#: initializer/entry of the flow runner, the CLI's suite worker, the
-#: teacher-set worker and the serve daemon's request worker.
+#: initializer/entry of the flow runner, the CLI's suite worker and
+#: the serve daemon's request worker.
 DEFAULT_PROCESS_ROOTS: tuple[str, ...] = (
     "repro.runner.runner._pool_init",
     "repro.runner.runner._pool_run",
     "repro.cli._suite_row",
-    "repro.ml.data._teacher_job",
     "repro.serve.workers._serve_pool_init",
     "repro.serve.workers._serve_pool_run",
     "repro.serve.workers._serve_pool_ping",
@@ -86,14 +85,11 @@ class ContextStateSpec:
 
 
 #: The pool seams of this repository: the flow runner's worker pool,
-#: the CLI suite table's row pool, the teacher-set pool and the serve
-#: daemon's request pool.
+#: the CLI suite table's row pool and the serve daemon's request pool.
 DEFAULT_WORKER_GROUPS: tuple[WorkerGroup, ...] = (
     WorkerGroup(entry="repro.runner.runner._pool_run",
                 initializer="repro.runner.runner._pool_init"),
     WorkerGroup(entry="repro.cli._suite_row",
-                initializer="repro.obs.spans.disable"),
-    WorkerGroup(entry="repro.ml.data._teacher_job",
                 initializer="repro.obs.spans.disable"),
     WorkerGroup(entry="repro.serve.workers._serve_pool_run",
                 initializer="repro.serve.workers._serve_pool_init"),

@@ -21,6 +21,11 @@ S004      context-local state (the obs tracer) accessed from a worker
           entry whose group never installs or resets it
 ========  ====================================================================
 
+A worker that starts a pool of its own hands that pool's entry and
+initializer to new processes; those run under their own group's
+checks, so a worker's closure stops at a function it passes to a pool
+as another group's entry or initializer.
+
 Suppress a deliberate occurrence with ``# static: ok[CODE] rationale``
 on the reported line (S002/S004 anchor at the payload class / worker
 entry definition).  All S-codes are ERROR.
@@ -34,7 +39,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional
 from repro.analysis.callgraph import (ClassInfo, FunctionInfo, ModuleInfo,
                                       ProgramModel)
 from repro.analysis.effects import (Effect, TransitiveOrigin, _locals_of,
-                                    reachable_from, transitive_origins)
+                                    direct_effects, reachable_from,
+                                    transitive_origins)
 from repro.verify.diagnostics import Diagnostic, Severity
 from repro.verify.registry import register
 
@@ -94,6 +100,33 @@ def _closure(program: ProgramModel,
     return merged
 
 
+def _worker_reach(program: ProgramModel, entry: str,
+                  groups: tuple["WorkerGroup", ...]
+                  ) -> dict[str, tuple[str, ...]]:
+    """Functions ``entry``'s own worker runs, one witness path each.
+
+    :func:`reachable_from`, except that a function handed to a pool (a
+    reference edge) as another group's entry or initializer is not
+    followed: it runs in that pool's processes, not in this worker.
+    """
+    seams = {q for g in groups for q in (g.entry, g.initializer) if q}
+    seams.discard(entry)
+    paths: dict[str, tuple[str, ...]] = {}
+    if entry in program.functions:
+        paths[entry] = (entry,)
+    frontier = list(paths)
+    while frontier:
+        current = frontier.pop()
+        for site in program.callees(current):
+            target = site.target
+            assert target is not None
+            if target in paths or (site.is_reference and target in seams):
+                continue
+            paths[target] = paths[current] + (target,)
+            frontier.append(target)
+    return paths
+
+
 def _runtime_mutable(ctx: Any, program: ProgramModel,
                      groups: tuple["WorkerGroup", ...]) -> set[tuple[str, str]]:
     """Globals some function reachable from any analyzed root mutates.
@@ -130,7 +163,8 @@ def check_worker_globals(ctx: Any) -> Iterator[Diagnostic]:
                 fn = program.functions.get(qualname)
                 if fn is not None:
                     reset |= _global_mutations_of(program, fn)
-        for qualname, path in sorted(_closure(program, (group.entry,)).items()):
+        for qualname, path in sorted(
+                _worker_reach(program, group.entry, groups).items()):
             fn = program.functions.get(qualname)
             if fn is None:
                 continue
@@ -316,8 +350,15 @@ def check_env_seam(ctx: Any) -> Iterator[Diagnostic]:
                  "before the pool starts and pass it as an argument")
 
     for group in groups:
-        for item in transitive_origins(program, group.entry,
-                                       (Effect.ENV_READ, Effect.ENV_WRITE)):
+        reach = _worker_reach(program, group.entry, groups)
+        entry_origins = sorted(
+            (TransitiveOrigin(origin=origin, path=path)
+             for qualname, path in reach.items()
+             for origin in direct_effects(program, qualname)
+             if origin.effect in (Effect.ENV_READ, Effect.ENV_WRITE)),
+            key=lambda t: (t.origin.module, t.origin.lineno,
+                           t.origin.effect.value))
+        for item in entry_origins:
             origin = item.origin
             if origin.effect is Effect.ENV_WRITE:
                 yield from emit(
@@ -352,7 +393,7 @@ def check_context_state(ctx: Any) -> Iterator[Diagnostic]:
         entry_fn = program.functions.get(group.entry)
         if entry_fn is None:
             continue
-        entry_reach = _closure(program, (group.entry,))
+        entry_reach = _worker_reach(program, group.entry, groups)
         init_roots = (group.initializer,) if group.initializer else ()
         init_reach = _closure(program, init_roots)
         for spec in getattr(ctx, "context_specs", ()):

@@ -19,17 +19,15 @@ request defaults live in exactly one place: the dataclass fields.
   :mod:`repro.core`);
 * :func:`run` — one matrix cell (:class:`FlowRequest`), returning a
   :class:`CellReport`;
-* :func:`compare` — NO/ALL/SMART (and optionally ML) on one design,
-  returning a :class:`CompareReport`;
+* :func:`compare` — NO/ALL/SMART on one design, returning a
+  :class:`CompareReport`;
 * :func:`sweep` — budget-slack sweep of the smart policy, returning a
   :class:`SweepReport`;
 * :func:`lint` — the DRC/ERC + engine-oracle verifier over a flow, or
   the whole-program static analyzer (``LintRequest(static=True)``);
 * :func:`execute` — dispatch any request object to its entry point;
 * :func:`trace_report` — render a ``--trace`` JSONL file the way the
-  ``repro trace`` subcommand does;
-* :func:`fit_guide` — the inline-trained ML guide the ``*_ml``
-  policies use.
+  ``repro trace`` subcommand does.
 
 Each report dataclass is plain data (JSON-ready via
 :func:`dataclasses.asdict` / :func:`report_to_dict`), so callers can
@@ -39,10 +37,11 @@ persist or post-process results without touching runner internals.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from pathlib import Path
-from typing import Any, ClassVar, Optional, Sequence, Union
+from typing import Any, ClassVar, Optional, Union
 
-from repro.core import NdrClassifierGuide, Policy, run_flow
+from repro.core import Policy, run_flow
 from repro.runner import FlowRunner, JobResult, JobSpec, RunMatrix
 from repro.tech import Technology, default_technology
 
@@ -60,7 +59,6 @@ __all__ = [
     "SweepRequest",
     "compare",
     "execute",
-    "fit_guide",
     "lint",
     "report_to_dict",
     "request_field_default",
@@ -74,7 +72,7 @@ __all__ = [
 #: Bump when a request dataclass changes incompatibly (field renames,
 #: semantic changes).  Folded into every request ``content_key``, so a
 #: schema bump also invalidates coalescing/response caches.
-REQUEST_SCHEMA = 1
+REQUEST_SCHEMA = 2
 
 
 # -- result dataclasses --------------------------------------------------------
@@ -161,6 +159,26 @@ def _policy_name(policy: Union[Policy, str]) -> str:
     return name
 
 
+def _check_number(name: str, value: Any, high: float = float("inf")) -> None:
+    """Raise unless ``value`` is a real number in ``[0, high]``.
+
+    A request is checked before it reaches a worker, with the ranges
+    the flow itself enforces; ``bool`` is not a number here.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= value <= high:
+        bound = ("non-negative" if high == float("inf")
+                 else f"in [0, {high:g}]")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def _check_slack(name: str, slack: Any) -> None:
+    """Budget slack: ``None`` (period budgets) or a number >= 0."""
+    if slack is not None:
+        _check_number(name, slack)
+
+
 class _RequestBase:
     """Shared JSON/round-trip machinery of the request dataclasses."""
 
@@ -245,6 +263,13 @@ class FlowRequest(_RequestBase):
         _policy_name(self.policy)
         if not self.design:
             raise ValueError("run request needs a design")
+        _check_slack("slack", self.slack)
+        _check_number("random_fraction", self.random_fraction, high=1.0)
+        _check_number("lambda_track", self.lambda_track)
+        if isinstance(self.random_seed, bool) \
+                or not isinstance(self.random_seed, numbers.Integral):
+            raise TypeError(f"random_seed must be an integer, "
+                            f"got {self.random_seed!r}")
 
     def job_spec(self) -> JobSpec:
         """The runner cell this request describes."""
@@ -257,17 +282,17 @@ class FlowRequest(_RequestBase):
 
 @dataclasses.dataclass(frozen=True)
 class CompareRequest(_RequestBase):
-    """NO/ALL/SMART (and optionally ML) policies on one design."""
+    """NO/ALL/SMART policies on one design."""
 
     KIND: ClassVar[str] = "compare"
 
     design: str
     slack: float = 0.15
-    with_ml: bool = False
 
     def __post_init__(self) -> None:
         if not self.design:
             raise ValueError("compare request needs a design")
+        _check_slack("slack", self.slack)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -284,6 +309,8 @@ class SweepRequest(_RequestBase):
             raise ValueError("sweep request needs a design")
         if not self.slacks:
             raise ValueError("sweep request needs at least one slack")
+        for slack in self.slacks:
+            _check_number("slacks entry", slack)
         object.__setattr__(self, "slacks",
                            tuple(float(s) for s in self.slacks))
 
@@ -374,66 +401,34 @@ def report_to_dict(report: Any) -> dict[str, Any]:
 # -- entry points --------------------------------------------------------------
 
 
-def fit_guide(seed: int = 0,
-              designs: Sequence[str] = ("ckt64", "ckt128"),
-              tech: Optional[Technology] = None) -> NdrClassifierGuide:
-    """Train the NDR classifier guide on corpus designs.
-
-    ``designs`` accepts anything the corpus resolves: exact names,
-    globs (``"ckt*"``), families (``"family:hierarchical"``), or design
-    JSON paths.
-    """
-    from repro.runner import expand_design_refs, resolve_design
-
-    guide = NdrClassifierGuide(seed=seed)
-    refs = expand_design_refs(tuple(designs))
-    guide.fit_designs([resolve_design(ref) for ref in refs],
-                      tech if tech is not None else default_technology())
-    return guide
-
-
-def _runner(tech: Optional[Technology], store: Any, jobs: int,
-            guide: Optional[NdrClassifierGuide]) -> FlowRunner:
-    return FlowRunner(tech=tech if tech is not None else default_technology(),
-                      store=store, jobs=jobs, guide=guide)
-
-
 def run(request: FlowRequest, *, jobs: int = 1, store: Any = True,
-        tech: Optional[Technology] = None,
-        guide: Optional[NdrClassifierGuide] = None) -> CellReport:
+        tech: Optional[Technology] = None) -> CellReport:
     """Execute one matrix cell described by a :class:`FlowRequest`."""
     if not isinstance(request, FlowRequest):
         raise TypeError("run() takes a FlowRequest; for a raw design/"
                         "technology object use api.run_flow")
-    if Policy(request.policy) == Policy.SMART_ML and guide is None:
-        guide = fit_guide(tech=tech)
-    runner = _runner(tech, store, jobs, guide)
+    runner = FlowRunner(tech=tech, store=store, jobs=jobs)
     return _cell_report(runner.run_job(request.job_spec(),
                                        return_flow=False))
 
 
 def compare(request: CompareRequest, *, jobs: int = 1,
-            store: Any = True, tech: Optional[Technology] = None,
-            guide: Optional[NdrClassifierGuide] = None) -> CompareReport:
-    """Compare NO/ALL/SMART (and optionally ML) policies on one design.
+            store: Any = True, tech: Optional[Technology] = None
+            ) -> CompareReport:
+    """Compare NO/ALL/SMART policies on one design.
 
     Takes a :class:`CompareRequest` (the schema) plus execution-only
     options: ``jobs`` fans cells over worker processes; ``store``
     accepts anything :class:`~repro.runner.FlowRunner` does (``True``
     for the per-user artifact cache, ``False``/``None`` to disable, a
-    path, or a live store); with ``with_ml`` a guide is trained inline
-    unless one is passed.
+    path, or a live store).
     """
     if not isinstance(request, CompareRequest):
         raise TypeError("compare() takes a CompareRequest, e.g. "
                         "compare(CompareRequest(design='ckt64'))")
-    policies = [Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART]
-    if request.with_ml:
-        if guide is None:
-            guide = fit_guide(tech=tech)
-        policies.append(Policy.SMART_ML)
-    runner = _runner(tech, store, jobs, guide)
-    matrix = RunMatrix(designs=(request.design,), policies=tuple(policies),
+    runner = FlowRunner(tech=tech, store=store, jobs=jobs)
+    matrix = RunMatrix(designs=(request.design,),
+                       policies=(Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART),
                        slacks=(request.slack,))
     results = runner.run(matrix, jobs=jobs)
     by_policy = {r.job.policy: r for r in results}
@@ -457,7 +452,7 @@ def sweep(request: SweepRequest, *, jobs: int = 1, store: Any = True,
         raise TypeError("sweep() takes a SweepRequest, e.g. "
                         "sweep(SweepRequest(design='ckt64'))")
     ordered = sorted(request.slacks, reverse=True)
-    runner = _runner(tech, store, jobs, None)
+    runner = FlowRunner(tech=tech, store=store, jobs=jobs)
     matrix = RunMatrix(designs=(request.design,), policies=(Policy.SMART,),
                        slacks=tuple(ordered))
     results = runner.run(matrix, jobs=jobs)
@@ -510,18 +505,16 @@ def lint(request: LintRequest, *, tech: Optional[Technology] = None) -> Any:
 
 
 def execute(request: Any, *, jobs: int = 1, store: Any = True,
-            tech: Optional[Technology] = None,
-            guide: Optional[NdrClassifierGuide] = None) -> Any:
+            tech: Optional[Technology] = None) -> Any:
     """Dispatch any request object to its entry point.
 
     The one call the service worker needs: give it a parsed request
     (:func:`request_from_dict`) and it returns the matching report.
     """
     if isinstance(request, FlowRequest):
-        return run(request, jobs=jobs, store=store, tech=tech, guide=guide)
+        return run(request, jobs=jobs, store=store, tech=tech)
     if isinstance(request, CompareRequest):
-        return compare(request, jobs=jobs, store=store, tech=tech,
-                       guide=guide)
+        return compare(request, jobs=jobs, store=store, tech=tech)
     if isinstance(request, SweepRequest):
         return sweep(request, jobs=jobs, store=store, tech=tech)
     if isinstance(request, LintRequest):

@@ -4,7 +4,7 @@ Subcommands::
 
     python -m repro suite [--designs SEL,..] [--jobs N] [--json]
     python -m repro run --design ckt256 --policy smart [--json]
-    python -m repro compare --design ckt256 [--with-ml] [--jobs N] [--json]
+    python -m repro compare --design ckt256 [--jobs N] [--json]
     python -m repro sweep --design ckt128 --slacks 0.6,0.3,0.15 [--jobs N]
     python -m repro designs list [--family F] [--json]  # the corpus registry
     python -m repro designs show ckt256 [--json]
@@ -56,7 +56,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.api import (CellReport, CompareRequest, FlowRequest, LintRequest,
-                       SweepRequest, _cell_report, compare, fit_guide,
+                       SweepRequest, _cell_report, compare,
                        request_field_default, sweep)
 from repro.designs import benchmark_suite, generate_design, spec_by_name
 from repro.core import Policy
@@ -67,11 +67,11 @@ from repro.reporting import Table
 from repro.tech import default_technology
 
 
-def _runner(args, guide=None) -> FlowRunner:
+def _runner(args) -> FlowRunner:
     """The command's flow runner (store per ``--no-cache``)."""
     return FlowRunner(tech=default_technology(),
                       store=not getattr(args, "no_cache", False),
-                      jobs=getattr(args, "jobs", 1), guide=guide)
+                      jobs=getattr(args, "jobs", 1))
 
 
 def _report_row(table: Table, cell: CellReport) -> None:
@@ -145,8 +145,7 @@ def cmd_run(args) -> int:
     request = FlowRequest(design=args.design, policy=args.policy,
                           slack=args.slack)
     policy = Policy(request.policy)
-    guide = fit_guide() if policy == Policy.SMART_ML else None
-    runner = _runner(args, guide=guide)
+    runner = _runner(args)
     # Ask for the flow only when an output reads it: a plain run is
     # answered from the cell's record.
     verbose = args.verbose and not args.json
@@ -186,9 +185,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    """Compare NO/ALL/SMART (and optionally ML) on one design."""
-    request = CompareRequest(design=args.design, slack=args.slack,
-                             with_ml=args.with_ml)
+    """Compare NO/ALL/SMART on one design."""
+    request = CompareRequest(design=args.design, slack=args.slack)
     report = compare(request, jobs=args.jobs, store=not args.no_cache)
     if args.json:
         print(json.dumps({
@@ -605,8 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--design", required=True)
     p_cmp.add_argument("--slack", type=float,
                        default=request_field_default(CompareRequest, "slack"))
-    p_cmp.add_argument("--with-ml", action="store_true",
-                       help="include the ML-guided policy (trains inline)")
     add_common_opts(p_cmp)
 
     p_sweep = sub.add_parser("sweep", help="sweep budget slack (smart policy)")

@@ -14,8 +14,6 @@ Public surface:
   baselines (ALL-NDR, NO-NDR, width-only, spacing-only, random).
 * :class:`~repro.core.optimizer.SmartNdrOptimizer` — the
   sensitivity-guided greedy assignment (the paper's method).
-* :class:`~repro.core.mlguide.NdrClassifierGuide` — the learned variant
-  that predicts rule need from wire features.
 * :func:`~repro.core.flow.run_flow` — one-call end-to-end flow
   producing a fully analyzed :class:`~repro.core.flow.FlowResult`.
 """
@@ -23,12 +21,10 @@ Public surface:
 from repro.core.targets import RobustnessTargets
 from repro.core.evaluation import (AnalysisBundle, analyze_all,
                                    targets_from_reference)
-from repro.core.features import WIRE_FEATURE_NAMES, wire_feature_matrix
 from repro.core.sensitivity import RuleSensitivity, rule_sensitivities
 from repro.core.policies import (Policy, apply_uniform_policy,
                                  apply_random_policy)
 from repro.core.optimizer import SmartNdrOptimizer, OptimizeResult
-from repro.core.mlguide import NdrClassifierGuide
 from repro.core.flow import FlowResult, run_flow, build_physical_design
 from repro.core.multiclock import (ClockDomain, DomainResult,
                                    MultiClockResult, run_multiclock_flow,
@@ -39,8 +35,6 @@ __all__ = [
     "AnalysisBundle",
     "analyze_all",
     "targets_from_reference",
-    "WIRE_FEATURE_NAMES",
-    "wire_feature_matrix",
     "RuleSensitivity",
     "rule_sensitivities",
     "Policy",
@@ -48,7 +42,6 @@ __all__ = [
     "apply_random_policy",
     "SmartNdrOptimizer",
     "OptimizeResult",
-    "NdrClassifierGuide",
     "FlowResult",
     "run_flow",
     "build_physical_design",

@@ -1,46 +1,16 @@
-"""Per-wire feature extraction for analysis and ML-guided assignment.
+"""Per-wire electrical context within a clock stage.
 
-Features are computed at the *default-rule* state of the design (the
-state the classifier sees before any upgrade), so they are comparable
-across designs:
-
-==  =======================  =============================================
-#   name                     meaning
-==  =======================  =============================================
-0   length                   electrical length, um
-1   layer_index              metal layer position in the stack
-2   n_aggressors             distinct coupled signal neighbors
-3   coupling_overlap         total parallel-run length with aggressors, um
-4   min_spacing              closest aggressor edge spacing, um
-5   cc_signal                total aggressor coupling cap, fF
-6   cc_weighted              activity-weighted aggressor coupling cap, fF
-7   upstream_r               driver + wire resistance above the wire, kOhm
-8   downstream_cap           stage-local capacitance below the wire, fF
-9   downstream_flops         flops in the full subtree below the wire
-10  depth                    tree depth of the wire's edge
-11  wire_r                   the wire's own resistance, kOhm
-12  em_util                  EM current-density utilisation at default rule
-13  is_horizontal            1.0 for H wires, 0.0 for V
-==  =======================  =============================================
+The greedy optimizer and its sensitivity model read, for every clock
+wire, where it sits in its stage's RC network: the resistance above
+it, the capacitance and flops below it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cts.tree import ClockTree
 from repro.extract.extractor import Extraction
-from repro.reliability.em import EmReport
-
-
-WIRE_FEATURE_NAMES: tuple[str, ...] = (
-    "length", "layer_index", "n_aggressors", "coupling_overlap",
-    "min_spacing", "cc_signal", "cc_weighted", "upstream_r",
-    "downstream_cap", "downstream_flops", "depth", "wire_r",
-    "em_util", "is_horizontal",
-)
 
 
 @dataclass(frozen=True)
@@ -109,46 +79,3 @@ def wire_contexts(tree: ClockTree, extraction: Extraction) -> dict[int, WireCont
             )
     return contexts
 
-
-def wire_feature_matrix(tree: ClockTree, extraction: Extraction,
-                        em: EmReport) -> tuple[list[int], np.ndarray]:
-    """Feature matrix over all clock wires.
-
-    Returns ``(wire_ids, X)`` with rows aligned; columns follow
-    :data:`WIRE_FEATURE_NAMES`.
-    """
-    routing = extraction.routing
-    contexts = wire_contexts(tree, extraction)
-    em_util = {w.wire_id: w.utilization for w in em.wires}
-
-    wire_ids: list[int] = []
-    rows: list[list[float]] = []
-    for wire in routing.clock_wires:
-        if wire.wire_id not in contexts:
-            continue  # zero-length stubs carry no RC node
-        para = extraction.wires[wire.wire_id]
-        ctx = contexts[wire.wire_id]
-        neighbors = routing.tracks.neighbors_of(wire)
-        aggressors = [nb for nb in neighbors if not nb.same_net]
-        overlap = sum(nb.overlap for nb in aggressors)
-        min_spacing = min((nb.spacing for nb in aggressors),
-                          default=wire.layer.coupling_reach)
-        cc_weighted = sum(e.cc * e.activity for e in para.couplings)
-        rows.append([
-            wire.length,
-            float(wire.layer.index),
-            float(len(aggressors)),
-            overlap,
-            min_spacing,
-            para.cc_signal,
-            cc_weighted,
-            ctx.upstream_r,
-            ctx.downstream_cap,
-            float(ctx.downstream_flops),
-            float(tree.depth(wire.edge_child_id)),
-            para.r,
-            em_util.get(wire.wire_id, 0.0),
-            1.0 if wire.segment.horizontal else 0.0,
-        ])
-        wire_ids.append(wire.wire_id)
-    return wire_ids, np.asarray(rows, dtype=float)

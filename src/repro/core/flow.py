@@ -137,16 +137,14 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
              policy: Policy = Policy.SMART,
              targets: Optional[RobustnessTargets] = None,
              random_fraction: float = 0.3, random_seed: int = 0,
-             guide=None, lambda_track: float = 0.05,
+             lambda_track: float = 0.05,
              store=None, memo: Optional[BuildMemo] = None) -> FlowResult:
     """Run one policy end to end on ``design``.
 
     Parameters
     ----------
     policy:
-        Which rule-assignment strategy to use.  ``SMART_ML`` requires a
-        fitted :class:`~repro.core.mlguide.NdrClassifierGuide` passed as
-        ``guide``.
+        Which rule-assignment strategy to use.
     targets:
         Robustness budgets; defaults to the period-derived spec
         (:meth:`RobustnessTargets.for_period`).
@@ -190,8 +188,7 @@ def run_flow(design: Design, tech: Optional[Technology] = None,
                                store=store, memo=memo)
         routing = physical.routing
 
-        optimize = policy_stage(physical, targets, policy_params,
-                                guide=guide)
+        optimize = policy_stage(physical, targets, policy_params)
 
         # Rule changes shift stage delays; re-trim and take final
         # analyses.  When the optimizer ran with its incremental engine,

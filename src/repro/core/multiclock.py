@@ -147,8 +147,8 @@ def run_multiclock_flow(design: Design, domains: list[ClockDomain],
                         lambda_track: float = 0.05) -> MultiClockResult:
     """Build, route and rule-assign every domain into one track space.
 
-    Every policy but ``SMART_ML`` (which needs a fitted guide) runs per
-    domain through :func:`~repro.core.stages.policy_stage`.
+    Every policy runs per domain through
+    :func:`~repro.core.stages.policy_stage`.
     ``targets`` is either one :class:`RobustnessTargets` for every
     domain or a dict mapping domain names to per-domain targets (the
     reference-pegged protocol needs per-domain budgets: the domains'

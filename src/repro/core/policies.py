@@ -32,7 +32,6 @@ class Policy(str, enum.Enum):
     SPACE_ONLY = "space-only"
     RANDOM = "random"
     SMART = "smart"      # sensitivity-guided greedy (the paper's method)
-    SMART_ML = "smart-ml"  # classifier-guided variant
     SMART_SHIELD = "smart-shield"  # greedy with grounded shields enabled
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -46,7 +45,7 @@ class Policy(str, enum.Enum):
         assignment, and so its whole flow, measures the same under any
         budgets; only the verdict on those measurements changes.
         """
-        return self in (Policy.SMART, Policy.SMART_SHIELD, Policy.SMART_ML)
+        return self in (Policy.SMART, Policy.SMART_SHIELD)
 
 
 _UNIFORM_RULE: dict[Policy, str] = {

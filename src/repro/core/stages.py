@@ -17,8 +17,8 @@ stages, each consuming and producing serializable artifacts:
     cell as it is.
 ``policy``
     Rule assignment: one of the uniform baselines, the random baseline,
-    the greedy optimizer, or the ML guide.  Mutates the routing in
-    place and returns the optimizer result (None for baselines).
+    or the greedy optimizer.  Mutates the routing in place and returns
+    the optimizer result (None for baselines).
 ``retrim``
     Re-trim skew after the rule changes shifted stage delays.
 ``analyze``
@@ -161,8 +161,7 @@ def _fork(physical: "PhysicalDesign") -> "PhysicalDesign":
 
 
 def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
-                 params: PolicyParams,
-                 guide=None) -> Optional[OptimizeResult]:
+                 params: PolicyParams) -> Optional[OptimizeResult]:
     """Assign routing rules per ``params.policy`` (mutates the routing)."""
     tree, routing, tech = physical.tree, physical.routing, physical.tech
     freq = physical.design.clock_freq
@@ -184,10 +183,6 @@ def policy_stage(physical: "PhysicalDesign", targets: RobustnessTargets,
                 use_shielding=(policy == Policy.SMART_SHIELD))
             with obs.span("flow.optimize"):
                 return optimizer.run(physical.extraction)
-        if policy == Policy.SMART_ML:
-            if guide is None:
-                raise ValueError("Policy.SMART_ML requires a fitted guide")
-            return guide.assign(physical, targets)
         raise ValueError(f"unhandled policy {policy}")  # pragma: no cover
 
 

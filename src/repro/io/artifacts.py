@@ -282,10 +282,6 @@ class ArtifactStore:
         obs.counter("artifacts.load_bytes").inc(len(blob))
         return obj
 
-    def has(self, key: str) -> bool:
-        """True when ``key`` is present on disk."""
-        return self.path_for(key).exists()
-
     def discard(self, key: str) -> None:
         """Remove ``key`` (missing is fine)."""
         try:
@@ -308,10 +304,6 @@ class ArtifactStore:
             out.append((path.stem, path, int(stat.st_size),
                         float(stat.st_mtime)))
         return out
-
-    def disk_bytes(self) -> int:
-        """Total bytes of the on-disk tree."""
-        return sum(size for _, _, size, _ in self.disk_entries())
 
     def gc(self, max_bytes: Optional[int] = None) -> dict[str, int]:
         """Evict least-recently-used disk entries down to a byte budget.

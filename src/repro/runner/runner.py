@@ -78,16 +78,15 @@ FORWARDED_ENV_WHITELIST: tuple[str, ...] = ("REPRO_VERIFY_FLOWS",
 class JobResult:
     """What one matrix cell streams back to the parent.
 
-    Always lightweight-serializable: summary metrics, rule histogram,
-    per-phase timings and verification diagnostics.  ``trace`` is the
-    cell's full span tree + metric deltas
-    (:meth:`repro.obs.Tracer.export_payload`) when the cell ran under
-    a tracer the caller cannot see (a worker process, or an untraced
-    parent); it is ``None`` once a traced parent has adopted it —
-    adoption is by span identity, exactly once.  The full
-    :class:`FlowResult` rides along only when the caller asked for it
-    (``return_flows=True``); it is pickled across the process boundary
-    in that case.
+    Always lightweight-serializable: summary metrics, rule histogram
+    and verification diagnostics.  ``trace`` is the cell's full span
+    tree + metric deltas (:meth:`repro.obs.Tracer.export_payload`) when
+    the cell ran under a tracer the caller cannot see (a worker
+    process, or an untraced parent); it is ``None`` once a traced
+    parent has adopted it — adoption is by span identity, exactly
+    once.  The full :class:`FlowResult` rides along only when the
+    caller asked for it (``return_flows=True``); it is pickled across
+    the process boundary in that case.
     """
 
     job: JobSpec
@@ -96,7 +95,6 @@ class JobResult:
     ndr_track_cost: float
     feasible: bool
     runtime: float
-    phases: dict[str, dict[str, float]] = field(default_factory=dict)
     diagnostics: list[dict[str, object]] = field(default_factory=list)
     cached: bool = False
     trace: Optional[dict[str, Any]] = None
@@ -153,7 +151,6 @@ class _ExecContext:
     tech: Technology
     store: Optional[ArtifactStore]
     verify: bool
-    guide: object = None
     return_flows: bool = False
     #: design fingerprint -> resolved design, shared by every cell the
     #: context runs (an edited design JSON fingerprints anew)
@@ -184,18 +181,6 @@ def _reference_targets(design: Design, tech: Technology,
                                             slack=slack)
 
 
-def _guide_fingerprint(guide: Any) -> str:
-    """Content hash of a fitted guide (cached on the instance)."""
-    from repro.io.artifacts import fingerprint
-    from repro.ml.serialize import forest_to_dict
-
-    fp = getattr(guide, "_content_fp", None)
-    if fp is None:
-        fp = fingerprint(forest_to_dict(guide.model))
-        guide._content_fp = fp
-    return str(fp)
-
-
 def _cell_key(job: JobSpec, ctx: _ExecContext,
               targets: RobustnessTargets) -> str:
     """Content hash identifying one completed cell (its record).
@@ -204,18 +189,15 @@ def _cell_key(job: JobSpec, ctx: _ExecContext,
     targets — all its flow reads of them — so every slack shares one
     record.
     """
-    parts = {
-        "design": design_ref_fingerprint(job.design),
-        "tech": ctx.tech,
-        "policy": job.policy_params(),
-        "targets": targets if job.policy.reads_budgets else {
+    return content_key(
+        "flow-cell",
+        design=design_ref_fingerprint(job.design),
+        tech=ctx.tech,
+        policy=job.policy_params(),
+        targets=targets if job.policy.reads_budgets else {
             "alignment": targets.alignment,
             "mc_samples": targets.mc_samples,
-            "mc_seed": targets.mc_seed},
-    }
-    if job.policy == Policy.SMART_ML and ctx.guide is not None:
-        parts["guide"] = _guide_fingerprint(ctx.guide)
-    return content_key("flow-cell", **parts)
+            "mc_seed": targets.mc_seed})
 
 
 def _flow_key(record_key: str) -> str:
@@ -265,8 +247,8 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
     """Run (or load) one cell and package the streamed result.
 
     The cell always executes under a captured tracer wrapped in one
-    ``runner.cell`` span, so per-phase timings stream back even when
-    the session is untraced.  A traced caller sees the cell's spans
+    ``runner.cell`` span, so its spans stream back even when the
+    session is untraced.  A traced caller sees the cell's spans
     re-rooted under its current span on capture exit (identity
     adoption, so a cell run in-process on a cache fallback is counted
     once); otherwise the payload rides back on ``JobResult.trace``
@@ -297,8 +279,7 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
                                 random_fraction=job.random_fraction,
                                 random_seed=job.random_seed,
                                 lambda_track=job.lambda_track,
-                                guide=ctx.guide, store=ctx.store,
-                                memo=ctx.builds)
+                                store=ctx.store, memo=ctx.builds)
                 record = CellRecord.of(flow)
                 if key is not None and store is not None:
                     _save_cell(store, key, record,
@@ -317,7 +298,6 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
             tracer.metrics.counter(
                 "runner.cells_cached" if cached
                 else "runner.cells_computed").inc()
-        phases = tracer.phase_totals()
 
     return JobResult(
         job=job,
@@ -326,7 +306,6 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
         ndr_track_cost=record.ndr_track_cost,
         feasible=feasible,
         runtime=time.perf_counter() - start,  # static: ok[D002] feeds JobResult.runtime metadata only
-        phases=phases,
         diagnostics=diagnostics,
         cached=cached,
         trace=None if obs.active() is not None else tracer.export_payload(),
@@ -340,7 +319,7 @@ _WORKER_CTX: Optional[_ExecContext] = None
 
 
 def _pool_init(tech: Technology, store_root: Optional[str], verify: bool,
-               guide: object, return_flows: bool) -> None:
+               return_flows: bool) -> None:
     """Per-worker initializer: rebuild the execution context.
 
     ``REPRO_VERIFY_FLOWS`` is forwarded explicitly — captured once in
@@ -359,7 +338,7 @@ def _pool_init(tech: Technology, store_root: Optional[str], verify: bool,
         os.environ.pop("REPRO_VERIFY_FLOWS", None)
     store = ArtifactStore(store_root) if store_root is not None else None
     _WORKER_CTX = _ExecContext(tech=tech, store=store, verify=verify,  # static: ok[D004] per-worker context slot, written once by the pool initializer before any job runs
-                               guide=guide, return_flows=return_flows)
+                               return_flows=return_flows)
 
 
 def _pool_run(job: JobSpec, metrics: Optional[RefMetrics]) -> JobResult:
@@ -382,10 +361,6 @@ class FlowRunner:
     jobs:
         Default worker count for :meth:`run`; ``1`` executes in-process
         (same code path, no pool).
-    guide:
-        Fitted :class:`~repro.core.mlguide.NdrClassifierGuide` for
-        SMART_ML cells; shipped to each worker once via the pool
-        initializer.
     verify:
         Run the static verifier on every cell and stream its
         diagnostics back.  ``None`` follows ``REPRO_VERIFY_FLOWS``.
@@ -393,8 +368,7 @@ class FlowRunner:
 
     def __init__(self, tech: Optional[Technology] = None,
                  store: Union[ArtifactStore, str, Path, None, bool] = True,
-                 jobs: int = 1, guide: object = None,
-                 verify: Optional[bool] = None) -> None:
+                 jobs: int = 1, verify: Optional[bool] = None) -> None:
         self.tech = tech if tech is not None else default_technology()
         resolved: Optional[ArtifactStore]
         if isinstance(store, ArtifactStore):
@@ -407,7 +381,6 @@ class FlowRunner:
             resolved = ArtifactStore(store)
         self.store: Optional[ArtifactStore] = resolved
         self.jobs = max(1, int(jobs))
-        self.guide = guide
         if verify is None:
             verify = bool(os.environ.get("REPRO_VERIFY_FLOWS"))
         self.verify = verify
@@ -419,8 +392,7 @@ class FlowRunner:
 
     def _context(self, return_flows: bool) -> _ExecContext:
         return _ExecContext(tech=self.tech, store=self.store,
-                            verify=self.verify, guide=self.guide,
-                            return_flows=return_flows,
+                            verify=self.verify, return_flows=return_flows,
                             designs=self._designs, builds=self._builds)
 
     def run_job(self, job: JobSpec, return_flow: bool = True) -> JobResult:
@@ -528,8 +500,7 @@ class FlowRunner:
                 initializer=_pool_init,
                 initargs=(self.tech,
                           str(self.store.root) if self.store else None,
-                          self.verify, self.guide,
-                          return_flows)) as pool:
+                          self.verify, return_flows)) as pool:
             # Phase 1: deduplicated upstream references.
             for result in pool.map(_pool_run, ref_jobs,
                                    [None] * len(ref_jobs)):

@@ -53,9 +53,6 @@ class ServeConfig:
     max_store_bytes: Optional[int] = None
     #: Pre-spawn every worker (kernel imports) before accepting.
     warm: bool = True
-    #: Install a daemon tracer so /v1/metrics and adopted worker spans
-    #: are live without an external --trace session.
-    trace: bool = True
 
 
 class ServeDaemon:
@@ -86,8 +83,12 @@ class ServeDaemon:
         return int(self._server.sockets[0].getsockname()[1])
 
     async def start(self) -> None:
-        """Open the pool and start accepting connections."""
-        if self.config.trace and obs.active() is None:
+        """Open the pool and start accepting connections.
+
+        Without an outer ``--trace`` session the daemon installs its
+        own tracer, so /v1/metrics and adopted worker spans are live.
+        """
+        if obs.active() is None:
             obs.enable("serve")
             self._owns_tracer = True
         self.pool = WorkerPool(
@@ -213,8 +214,11 @@ class ServeDaemon:
     async def _handle_store_gc(self, req: HttpRequest) -> HttpResponse:
         data = req.json()
         max_bytes = data.get("max_bytes")
-        if max_bytes is not None and not isinstance(max_bytes, int):
-            raise ApiError(400, "max_bytes must be an integer")
+        # bool is an int: {"max_bytes": true} would evict down to 1 byte.
+        if max_bytes is not None and (isinstance(max_bytes, bool)
+                                      or not isinstance(max_bytes, int)
+                                      or max_bytes < 0):
+            raise ApiError(400, "max_bytes must be a non-negative integer")
         swept = self.store.gc(max_bytes=max_bytes)
         return HttpResponse(payload={"status": "ok", **swept})
 

@@ -800,6 +800,60 @@ def test_s003_clean_for_seam_replay(tmp_path):
     assert not analyze_program(ctx).diagnostics
 
 
+_NESTED_GROUPS = (WorkerGroup(entry="pkg.mod.outer",
+                              initializer="pkg.mod.outer_init"),
+                  WorkerGroup(entry="pkg.mod.inner",
+                              initializer="pkg.mod.inner_init"))
+
+_NESTED_POOL = """\
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
+    _CTX = None
+
+    def inner_init(mode):
+        global _CTX
+        os.environ["PKG_MODE"] = mode
+        _CTX = mode
+
+    def inner(job):
+        return (_CTX, job)
+
+    def outer_init():
+        pass
+
+    def outer(jobs):
+        with ProcessPoolExecutor(initializer=inner_init,
+                                 initargs=("fast",)) as pool:
+            return list(pool.map(inner, jobs))
+    """
+
+
+def test_s00x_nested_pool_runs_under_its_own_group(tmp_path):
+    # A worker that starts its own pool hands the inner entry and
+    # initializer to new processes: the inner group's initializer
+    # resets the global and replays the variable there, so neither is
+    # the outer worker's concern.
+    ctx = _context(tmp_path, _NESTED_POOL, det_roots=(),
+                   whitelist=("PKG_MODE",), worker_groups=_NESTED_GROUPS)
+    assert not analyze_program(ctx).diagnostics
+
+
+def test_s001_still_flags_a_nested_entry_called_in_process(tmp_path):
+    source = _NESTED_POOL + """\
+
+    def outer_serial(jobs):
+        return [inner(job) for job in jobs]
+    """
+    groups = (WorkerGroup(entry="pkg.mod.outer_serial",
+                          initializer="pkg.mod.outer_init"),
+              _NESTED_GROUPS[1])
+    ctx = _context(tmp_path, source, det_roots=(),
+                   whitelist=("PKG_MODE",), worker_groups=groups)
+    (diag,) = analyze_program(ctx).by_rule("S001")
+    assert "_CTX" in diag.message and "outer_serial" in diag.message
+
+
 # -- S004: context-local state without an installer ----------------------------
 
 _TRACER_SPEC = ContextStateSpec(
@@ -995,7 +1049,7 @@ def test_every_repro_process_pool_has_an_initializer():
             pools += 1
             if not any(kw.arg == "initializer" for kw in node.keywords):
                 bare.append(f"{path.relative_to(root)}:{node.lineno}")
-    assert pools >= 4  # runner, suite rows, teacher set, serve workers
+    assert pools >= 3  # runner, suite rows, serve workers
     assert not bare, f"ProcessPoolExecutor without initializer= at {bare}"
 
 

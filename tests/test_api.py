@@ -42,7 +42,7 @@ def test_compare_returns_typed_report(tiny_ref):
     expect = 100.0 * (p_all - smart.power_uw) / p_all
     assert report.smart_saving_pct == pytest.approx(expect)
     with pytest.raises(KeyError):
-        report.cell("smart-ml")
+        report.cell("smart-shield")
     # Plain data: JSON round-trips without custom encoders.
     json.dumps(dataclasses.asdict(report))
 

@@ -28,7 +28,7 @@ def tiny_ref(tmp_path, tiny_design):
     FlowRequest(design="ckt64"),
     FlowRequest(design="ckt64", policy="all-ndr", slack=None,
                 random_seed=3),
-    CompareRequest(design="ckt64", slack=0.4, with_ml=True),
+    CompareRequest(design="ckt64", slack=0.4),
     SweepRequest(design="ckt64", slacks=(0.5, 0.2)),
     LintRequest(design="ckt64", kinds=("drc",)),
     LintRequest(static=True, paths=("src/repro",), codes=("Q*",)),
@@ -87,6 +87,30 @@ def test_requests_validate_eagerly():
         LintRequest()  # non-static needs a design
 
 
+def test_numeric_fields_are_checked_against_the_flow_ranges():
+    # The edges the flow accepts stay legal.
+    FlowRequest(design="x", slack=None, random_fraction=0.0,
+                lambda_track=0.0)
+    FlowRequest(design="x", slack=0, random_fraction=1, random_seed=7)
+    CompareRequest(design="x", slack=0.0)
+    SweepRequest(design="x", slacks=(0, 0.6))
+    for bad in ({"slack": -0.1}, {"random_fraction": 1.5},
+                {"random_fraction": -0.1}, {"lambda_track": -1.0}):
+        with pytest.raises(ValueError):
+            FlowRequest(design="x", **bad)
+    for bad in ({"slack": "0.2"}, {"slack": True}, {"lambda_track": None},
+                {"random_fraction": "0.3"}, {"random_seed": 1.5},
+                {"random_seed": False}):
+        with pytest.raises(TypeError):
+            FlowRequest(design="x", **bad)
+    with pytest.raises(ValueError):
+        CompareRequest(design="x", slack=-0.1)
+    with pytest.raises(ValueError):
+        SweepRequest(design="x", slacks=(0.3, -0.1))
+    with pytest.raises(TypeError):
+        SweepRequest(design="x", slacks=("0.2",))
+
+
 def test_sweep_slacks_coerce_to_float_tuple():
     req = SweepRequest(design="x", slacks=[1, 0.5])
     assert req.slacks == (1.0, 0.5)
@@ -101,7 +125,7 @@ def test_static_lint_is_not_cacheable():
 
 def test_request_field_default_is_the_cli_source_of_truth():
     assert request_field_default(FlowRequest, "slack") == 0.15
-    assert request_field_default(CompareRequest, "with_ml") is False
+    assert request_field_default(CompareRequest, "slack") == 0.15
     assert request_field_default(SweepRequest, "slacks") == (0.6, 0.3, 0.15)
     with pytest.raises(KeyError):
         request_field_default(FlowRequest, "nope")

@@ -79,7 +79,7 @@ def test_content_key_varies_with_tech_and_params(tiny_design, tech):
 def test_build_artifact_round_trip(store, tiny_design, tech):
     physical = build_stage(tiny_design, tech, store=store)
     key = _build_key(tiny_design, tech)
-    assert store.has(key)
+    assert store.path_for(key).exists()
 
     loaded = store.load(key)
     assert loaded is not None
@@ -137,7 +137,7 @@ def test_corrupt_artifact_is_a_clean_rebuild(store, tiny_design, tech):
     rebuilt = build_stage(tiny_design, tech, store=store)  # clean rebuild
     assert rebuilt.routing.clock_wirelength() == \
         pytest.approx(physical.routing.clock_wirelength())
-    assert store.has(key)                   # re-saved
+    assert path.exists()                    # re-saved
 
 
 def test_truncated_pickle_is_a_miss(store):
@@ -149,7 +149,7 @@ def test_truncated_pickle_is_a_miss(store):
 
 def test_missing_key_is_a_miss(store):
     assert store.load("0" * 64) is None
-    assert not store.has("0" * 64)
+    assert not store.path_for("0" * 64).exists()
     store.discard("0" * 64)  # no-op, no raise
 
 
@@ -175,8 +175,8 @@ def test_gc_evicts_least_recently_used_first(tmp_path):
     budget = sum(sizes) - 1  # force exactly one eviction
     swept = store.gc(max_bytes=budget)
     assert swept["evicted"] == 1
-    assert not store.has("1" * 64)  # the oldest untouched entry
-    assert store.has("0" * 64)      # LRU refresh saved it
+    assert not store.path_for("1" * 64).exists()  # the oldest untouched entry
+    assert store.path_for("0" * 64).exists()      # LRU refresh saved it
 
 
 def test_gc_reports_only_without_budget(tmp_path):
@@ -184,17 +184,18 @@ def test_gc_reports_only_without_budget(tmp_path):
     _fill(store, 3)
     swept = store.gc()  # no max_disk_bytes, no override
     assert swept["evicted"] == 0
-    assert swept["kept_bytes"] == store.disk_bytes() > 0
+    assert swept["kept_bytes"] == store.stats()["disk_bytes"] > 0
 
 
 def test_save_triggers_gc_under_configured_budget(tmp_path):
     store = ArtifactStore(tmp_path, max_disk_bytes=5000)
     _fill(store, 5)
-    assert store.disk_bytes() <= 5000
-    assert store.evictions > 0 and store.evicted_bytes > 0
     stats = store.stats()
+    assert stats["disk_bytes"] <= 5000
+    assert store.evictions > 0 and store.evicted_bytes > 0
     assert stats["evictions"] == store.evictions
-    assert stats["disk_bytes"] == store.disk_bytes()
+    assert stats["disk_bytes"] == sum(
+        path.stat().st_size for _, path, _, _ in store.disk_entries())
 
 
 def test_unwritable_root_degrades_to_no_cache(tmp_path):
@@ -205,6 +206,6 @@ def test_unwritable_root_degrades_to_no_cache(tmp_path):
     store = ArtifactStore(blocker / "artifacts")
     store.save("b" * 64, 42)            # disk write fails silently
     assert store.load("b" * 64) is None
-    assert not store.has("b" * 64)
+    assert not store.path_for("b" * 64).exists()
     assert store.misses == 1
     assert store.gc(max_bytes=0)["kept_bytes"] == 0

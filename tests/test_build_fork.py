@@ -18,7 +18,6 @@ import pickle
 import pytest
 
 from repro.core.flow import PhysicalDesign, run_flow
-from repro.core.mlguide import NdrClassifierGuide
 from repro.core.policies import Policy
 from repro.core.stages import (BuildMemo, BuildParams, PolicyParams,
                                build_stage, policy_stage, retrim_stage)
@@ -39,7 +38,7 @@ FORK_DESIGNS.append(pytest.param(MACRO_SPEC, id=MACRO_SPEC.name))
 
 POLICIES = (Policy.NO_NDR, Policy.ALL_NDR, Policy.WIDTH_ONLY,
             Policy.SPACE_ONLY, Policy.RANDOM, Policy.SMART,
-            Policy.SMART_SHIELD, Policy.SMART_ML)
+            Policy.SMART_SHIELD)
 
 
 def _bytes(obj) -> bytes:
@@ -72,16 +71,9 @@ def _flow_state(flow) -> tuple:
             _physical_state(flow.physical))
 
 
-@pytest.fixture(scope="module")
-def guide(tech):
-    g = NdrClassifierGuide(n_trees=3, seed=3)
-    g.fit_designs([generate_design(spec_by_name("ckt64"))], tech)
-    return g
-
-
 @pytest.mark.parametrize("spec", FORK_DESIGNS)
 def test_flow_on_a_fork_equals_a_flow_on_an_unpickled_copy(
-        spec, tech, guide, tmp_path):
+        spec, tech, tmp_path):
     design = generate_design(spec)
     store = ArtifactStore(tmp_path)
     memo = BuildMemo()
@@ -106,9 +98,9 @@ def test_flow_on_a_fork_equals_a_flow_on_an_unpickled_copy(
             cell = BuildMemo()
             cell.put(design, tech, BuildParams(), pristine)
             on_fork = run_flow(design, tech, policy=policy, targets=targets,
-                               guide=guide, memo=cell)
+                               memo=cell)
             on_copy = run_flow(design, tech, policy=policy, targets=targets,
-                               guide=guide, store=store)
+                               store=store)
             assert _flow_state(on_fork) == _flow_state(on_copy), \
                 (policy, label)
     assert _bytes(pristine) == original

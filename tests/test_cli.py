@@ -11,8 +11,8 @@ def test_parser_subcommands():
     parser = build_parser()
     args = parser.parse_args(["run", "--design", "ckt64"])
     assert args.command == "run" and args.policy == "smart"
-    args = parser.parse_args(["compare", "--design", "ckt64", "--with-ml"])
-    assert args.with_ml
+    args = parser.parse_args(["compare", "--design", "ckt64"])
+    assert args.command == "compare" and args.slack == 0.15
     args = parser.parse_args(["sweep", "--design", "ckt64",
                               "--slacks", "0.5,0.2"])
     assert args.slacks == "0.5,0.2"

@@ -1,25 +1,13 @@
-"""Per-wire features and electrical contexts."""
+"""Per-wire electrical contexts."""
 
-import numpy as np
 import pytest
 
-from repro.core.features import (WIRE_FEATURE_NAMES, wire_contexts,
-                                 wire_feature_matrix)
-from repro.reliability.em import analyze_em
+from repro.core.features import wire_contexts
 
 
 @pytest.fixture(scope="module")
 def contexts(small_physical):
     return wire_contexts(small_physical.tree, small_physical.extraction)
-
-
-@pytest.fixture(scope="module")
-def features(small_physical, small_design, tech):
-    em = analyze_em(small_physical.extraction.network,
-                    small_physical.routing, tech.vdd,
-                    small_design.clock_freq)
-    return wire_feature_matrix(small_physical.tree,
-                               small_physical.extraction, em)
 
 
 def test_every_rc_wire_has_context(contexts, small_physical):
@@ -51,41 +39,3 @@ def test_context_flop_counts_conserve(contexts, small_physical):
                   and root_stage.nodes[ctx.node_idx].parent == 0)
     assert covered >= 0  # structural smoke check
 
-
-def test_feature_matrix_shape(features):
-    wire_ids, X = features
-    assert X.shape == (len(wire_ids), len(WIRE_FEATURE_NAMES))
-    assert len(set(wire_ids)) == len(wire_ids)
-
-
-def test_feature_values_sane(features):
-    _ids, X = features
-    names = list(WIRE_FEATURE_NAMES)
-    assert (X[:, names.index("length")] >= 0).all()
-    assert (X[:, names.index("n_aggressors")] >= 0).all()
-    assert (X[:, names.index("min_spacing")] > 0).all()
-    assert (X[:, names.index("upstream_r")] > 0).all()
-    assert (X[:, names.index("downstream_flops")] >= 1).all()
-    horiz = X[:, names.index("is_horizontal")]
-    assert set(np.unique(horiz)) <= {0.0, 1.0}
-
-
-def test_cc_weighted_below_cc_signal(features):
-    _ids, X = features
-    names = list(WIRE_FEATURE_NAMES)
-    cc = X[:, names.index("cc_signal")]
-    ccw = X[:, names.index("cc_weighted")]
-    assert (ccw <= cc + 1e-12).all()
-
-
-def test_em_util_feature_matches_report(features, small_physical,
-                                        small_design, tech):
-    wire_ids, X = features
-    names = list(WIRE_FEATURE_NAMES)
-    em = analyze_em(small_physical.extraction.network,
-                    small_physical.routing, tech.vdd,
-                    small_design.clock_freq)
-    util = {w.wire_id: w.utilization for w in em.wires}
-    col = X[:, names.index("em_util")]
-    for wid, value in zip(wire_ids, col):
-        assert value == pytest.approx(util.get(wid, 0.0))

@@ -67,12 +67,6 @@ def test_ndr_track_cost_consistent(flows):
     assert flows[Policy.ALL_NDR].ndr_track_cost > 0.0
 
 
-def test_ml_policy_requires_guide(tiny_spec, tech):
-    design = generate_design(tiny_spec)
-    with pytest.raises(ValueError):
-        run_flow(design, tech, policy=Policy.SMART_ML)
-
-
 def test_explicit_targets_used(tiny_spec, tech):
     design = generate_design(tiny_spec)
     targets = RobustnessTargets(max_worst_delta=1e6, max_skew_3sigma=1e6,

@@ -77,10 +77,3 @@ def test_run_matrix_expands_selectors():
     # verbatim (unregistered ad-hoc names stay legal until resolution).
     assert matrix.designs == ("imp_uart", "imp_noc", "adhoc")
     assert len(matrix) == 3
-
-
-def test_teacher_dataset_accepts_corpus_refs():
-    from repro.ml.data import _materialize_designs
-
-    designs = _materialize_designs(["family:imported"])
-    assert [d.name for d in designs] == ["imp_uart", "imp_noc"]

@@ -88,18 +88,6 @@ def test_wire_report_shows_rules(make_tiny_physical, tmp_path, tech):
     assert "W4S2" in path.read_text()
 
 
-def test_cli_compare_with_ml(tmp_path, capsys, tiny_design):
-    from repro.cli import main
-    from repro.io import save_design
-
-    design_path = tmp_path / "d.json"
-    save_design(tiny_design, design_path)
-    code = main(["compare", "--design", str(design_path), "--with-ml"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "smart-ml" in out
-
-
 def test_cli_verbose_summary(tmp_path, capsys, tiny_design):
     from repro.cli import main
     from repro.io import save_design

@@ -97,11 +97,6 @@ def test_smart_multiclock_feasible(design, domains, tech):
     assert not no_ndr.all_feasible
 
 
-def test_unsupported_policies_rejected(design, domains, tech):
-    with pytest.raises(ValueError):
-        run_multiclock_flow(design, domains, tech, policy=Policy.SMART_ML)
-
-
 def test_result_lookup(design, domains, tech):
     result = run_multiclock_flow(design, domains, tech,
                                  policy=Policy.NO_NDR)

@@ -230,6 +230,74 @@ def test_daemon_http_errors_and_stats(tmp_path):
     assert out["gc"][1]["evicted"] == 0
 
 
+#: Bodies the request schema rejects before any worker sees them: each
+#: used to reach the pool (and fail there, after a full reference flow).
+BAD_FLOW_BODIES = [
+    pytest.param("/v1/run", {"design": "x", "slack": "0.2"}, id="run-slack-str"),
+    pytest.param("/v1/run", {"design": "x", "slack": -0.1}, id="run-slack-neg"),
+    pytest.param("/v1/run", {"design": "x", "slack": True}, id="run-slack-bool"),
+    pytest.param("/v1/run", {"design": "x", "lambda_track": -1.0},
+                 id="run-lambda-neg"),
+    pytest.param("/v1/run", {"design": "x", "lambda_track": "0.05"},
+                 id="run-lambda-str"),
+    pytest.param("/v1/run", {"design": "x", "random_fraction": 1.5},
+                 id="run-fraction-high"),
+    pytest.param("/v1/run", {"design": "x", "random_fraction": -0.1},
+                 id="run-fraction-neg"),
+    pytest.param("/v1/run", {"design": "x", "random_seed": 1.5},
+                 id="run-seed-float"),
+    pytest.param("/v1/run", {"design": "x", "random_seed": True},
+                 id="run-seed-bool"),
+    pytest.param("/v1/compare", {"design": "x", "slack": -0.1},
+                 id="compare-slack-neg"),
+    pytest.param("/v1/compare", {"design": "x", "slack": "0.2"},
+                 id="compare-slack-str"),
+    pytest.param("/v1/sweep", {"design": "x", "slacks": [0.3, -0.1]},
+                 id="sweep-slack-neg"),
+    pytest.param("/v1/sweep", {"design": "x", "slacks": ["0.2"]},
+                 id="sweep-slack-str"),
+    pytest.param("/v1/sweep", {"design": "x", "slacks": [True]},
+                 id="sweep-slack-bool"),
+]
+
+
+@pytest.mark.parametrize("path,body", BAD_FLOW_BODIES)
+def test_daemon_rejects_malformed_flow_fields(tmp_path, path, body):
+    async def main():
+        daemon = ServeDaemon(_daemon_config(tmp_path, warm=False))
+        await daemon.start()
+        try:
+            reply = await _post_json(daemon.port, path, body)
+            return reply, daemon.pool.submitted
+        finally:
+            await daemon.stop()
+
+    (status, env), submitted = asyncio.run(main())
+    assert status == 400, env
+    assert env["status"] == "error"
+    assert submitted == 0
+
+
+@pytest.mark.parametrize("max_bytes", [True, -1])
+def test_daemon_gc_rejects_bool_and_negative_budgets(tmp_path, max_bytes):
+    async def main():
+        daemon = ServeDaemon(_daemon_config(tmp_path, warm=False))
+        daemon.store.save("a" * 64, b"x" * 100)
+        await daemon.start()
+        try:
+            reply = await _post_json(daemon.port, "/v1/store/gc",
+                                     {"max_bytes": max_bytes})
+            return reply, daemon.pool.submitted, daemon.store
+        finally:
+            await daemon.stop()
+
+    (status, env), submitted, store = asyncio.run(main())
+    assert status == 400, env
+    assert submitted == 0
+    assert store.evictions == 0
+    assert store.path_for("a" * 64).exists()
+
+
 def test_daemon_streams_request_events(tmp_path, tiny_ref):
     async def main():
         daemon = ServeDaemon(_daemon_config(tmp_path))
