@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import bench_jobs, emit
 from repro.core import Policy
 from repro.reporting import Table
-from repro.runner import RunMatrix
+from repro.runner import JobSpec
 
 DESIGNS = ("ckt256m", "ckt512m")
 BASELINES = {"ckt256m": "ckt256", "ckt512m": "ckt512"}
@@ -24,11 +24,12 @@ def _build(matrix) -> Table:
         "Table 6: policies on macro-blocked floorplans",
         ["design", "macros", "policy", "P (uW)", "clk WL (um)",
          "skew ps", "dd ps", "feasible"])
-    # The whole experiment is one declarative matrix; the runner
-    # computes each macro variant's all-NDR reference once as a shared
-    # upstream job instead of once per hand-loop iteration.
+    # The whole experiment is one job list; the runner computes each
+    # macro variant's all-NDR reference once as a shared upstream job
+    # instead of once per hand-loop iteration.
     results = matrix.runner.run(
-        RunMatrix(designs=DESIGNS, policies=POLICIES, slacks=(0.15,)),
+        [JobSpec(design=d, policy=p, slack=0.15)
+         for d in DESIGNS for p in POLICIES],
         jobs=bench_jobs(), return_flows=True)
     rows = {}
     for result in results:

@@ -1,7 +1,7 @@
 """Shared machinery for the experiment benchmarks.
 
 The expensive artefact — the full (design x policy) flow matrix — is a
-declarative :class:`~repro.runner.RunMatrix` executed once per session
+list of :class:`~repro.runner.JobSpec` cells executed once per session
 by the :class:`~repro.runner.FlowRunner` and shared by every
 table/figure module.  Budgets follow the reproduction protocol: each
 design's robustness targets are pegged to its own all-NDR reference run

@@ -15,7 +15,8 @@ expression, resolved as far as a purely syntactic analysis can take it:
   chain through ``__init__`` modules;
 * ``self.method()`` to the enclosing class, and ``x.method()`` to
   ``Cls.method`` when ``x`` was assigned from a resolved ``Cls(...)``
-  call in the same scope (one-level local type inference);
+  call, or from a call of a program function annotated ``-> Cls``, in
+  the same scope (one-level local type inference);
 * bare function references passed as call arguments (``pool.submit(fn,
   ...)``) become edges too — a worker entrypoint handed to an executor
   is reachable even though it is never "called" syntactically.
@@ -377,7 +378,8 @@ class _CallCollector(ast.NodeVisitor):
         self.module = module
         self.fn = fn
         self.locals = _local_store_names(fn.node)
-        #: local name -> class qualname, for x = Cls(...) inference.
+        #: local name -> class qualname, for x = Cls(...) / x = f(...)
+        #: inference.
         self.local_types: dict[str, str] = {}
         #: Function-local import bindings (``from x import y`` inside
         #: the body).  Worker entries defer heavy imports to the
@@ -485,7 +487,8 @@ class _CallCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        # One-level local type inference: x = Cls(...)
+        # One-level local type inference: x = Cls(...), or x = f(...)
+        # where the program function f is annotated ``-> Cls``.
         if (isinstance(node.value, ast.Call)
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)):
@@ -494,9 +497,37 @@ class _CallCollector(ast.NodeVisitor):
                 expanded = self.resolve_name(dotted)
                 if expanded is not None:
                     resolved = self.program.resolve_export(expanded)
+                    if resolved is not None \
+                            and resolved in self.program.functions:
+                        resolved = _returned_class(
+                            self.program, self.program.functions[resolved])
                     if resolved in self.program.classes:
                         self.local_types[node.targets[0].id] = resolved
         self.generic_visit(node)
+
+
+def _returned_class(program: ProgramModel,
+                    fn: FunctionInfo) -> Optional[str]:
+    """The program class ``fn``'s return annotation names, if any.
+
+    Accepts a name, a dotted name or the string form of either,
+    resolved in the function's own module scope.
+    """
+    annotation = fn.node.returns
+    if isinstance(annotation, ast.Constant) \
+            and isinstance(annotation.value, str):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return None
+    dotted = _dotted_name(annotation) if annotation is not None else None
+    if dotted is None:
+        return None
+    module = program.modules[fn.module]
+    first, _, rest = dotted.partition(".")
+    base = module.imports.get(first, f"{module.name}.{first}")
+    resolved = program.resolve_export(f"{base}.{rest}" if rest else base)
+    return resolved if resolved in program.classes else None
 
 
 def build_program(root: Union[str, Path],

@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, ClassVar, Optional, Union
 
 from repro.core import Policy, run_flow
-from repro.runner import FlowRunner, JobResult, JobSpec, RunMatrix
+from repro.runner import FlowRunner, JobResult, JobSpec
 from repro.tech import Technology, default_technology
 
 __all__ = [
@@ -427,10 +427,10 @@ def compare(request: CompareRequest, *, jobs: int = 1,
         raise TypeError("compare() takes a CompareRequest, e.g. "
                         "compare(CompareRequest(design='ckt64'))")
     runner = FlowRunner(tech=tech, store=store, jobs=jobs)
-    matrix = RunMatrix(designs=(request.design,),
-                       policies=(Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART),
-                       slacks=(request.slack,))
-    results = runner.run(matrix, jobs=jobs)
+    policies = (Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART)
+    results = runner.run([JobSpec(design=request.design, policy=p,
+                                  slack=request.slack) for p in policies],
+                         jobs=jobs)
     by_policy = {r.job.policy: r for r in results}
     p_all = by_policy[Policy.ALL_NDR].summary["power_uw"]
     p_smart = by_policy[Policy.SMART].summary["power_uw"]
@@ -453,9 +453,8 @@ def sweep(request: SweepRequest, *, jobs: int = 1, store: Any = True,
                         "sweep(SweepRequest(design='ckt64'))")
     ordered = sorted(request.slacks, reverse=True)
     runner = FlowRunner(tech=tech, store=store, jobs=jobs)
-    matrix = RunMatrix(designs=(request.design,), policies=(Policy.SMART,),
-                       slacks=tuple(ordered))
-    results = runner.run(matrix, jobs=jobs)
+    results = runner.run([JobSpec(design=request.design, policy=Policy.SMART,
+                                  slack=s) for s in ordered], jobs=jobs)
     points = []
     for result in results:
         hist = result.rule_histogram

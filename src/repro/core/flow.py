@@ -96,11 +96,6 @@ class FlowResult:
         """Total clock power, uW."""
         return self.analyses.power.p_total
 
-    @property
-    def switched_cap(self) -> float:
-        """Total switched capacitance, fF."""
-        return self.analyses.power.total_cap
-
     def summary(self) -> dict[str, float]:
         """Flat metric dict for tables."""
         a = self.analyses

@@ -14,7 +14,7 @@ spec is written; :meth:`RobustnessTargets.for_period` fills them in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,3 @@ class RobustnessTargets:
         if em > 0.0:
             out["em"] = em
         return out
-
-    def relaxed(self, factor: float) -> "RobustnessTargets":
-        """A copy with delta/skew budgets scaled by ``factor`` (sweeps)."""
-        if factor <= 0.0:
-            raise ValueError("factor must be positive")
-        return replace(self,
-                       max_worst_delta=self.max_worst_delta * factor,
-                       max_skew_3sigma=self.max_skew_3sigma * factor)

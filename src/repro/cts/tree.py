@@ -254,10 +254,6 @@ class ClockTree:
         parent = self._nodes[child.parent]
         return parent.location.manhattan_to(child.location) + child.snake
 
-    def total_wirelength(self) -> float:
-        """Total logical wirelength of the tree including snaking, um."""
-        return sum(self.edge_length(child.node_id) for _, child in self.edges())
-
     def validate(self) -> None:
         """Check structural invariants; raise ValueError on corruption."""
         if self.root_id is None:

@@ -40,13 +40,3 @@ class Point:
 def manhattan(a: Point, b: Point) -> float:
     """Manhattan (L1) distance between two points."""
     return a.manhattan_to(b)
-
-
-def bounding_center(points) -> Point:
-    """Center of the bounding box of a non-empty iterable of points."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("cannot take bounding center of no points")
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return Point((min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0)

@@ -21,10 +21,6 @@ class Rect:
             raise ValueError(
                 f"degenerate rect: ({self.xlo},{self.ylo})-({self.xhi},{self.yhi})")
 
-    @classmethod
-    def from_points(cls, a: Point, b: Point) -> "Rect":
-        return cls(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
-
     @property
     def width(self) -> float:
         return self.xhi - self.xlo

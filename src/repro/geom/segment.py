@@ -67,16 +67,6 @@ class Segment:
         return Point(self.a.x + (self.b.x - self.a.x) * fraction,
                      self.a.y + (self.b.y - self.a.y) * fraction)
 
-    def split_at(self, p: Point) -> tuple["Segment", "Segment"]:
-        """Split into two segments at an on-segment point ``p``."""
-        if self.horizontal:
-            on = p.y == self.a.y and self.lo <= p.x <= self.hi
-        else:
-            on = p.x == self.a.x and self.lo <= p.y <= self.hi
-        if not on:
-            raise ValueError(f"point {p} is not on segment {self.a}->{self.b}")
-        return Segment(self.a, p), Segment(p, self.b)
-
 
 def l_route(src: Point, dst: Point, horizontal_first: bool = True) -> list[Segment]:
     """The one- or two-segment L-shaped Manhattan route from src to dst.

@@ -73,11 +73,6 @@ class Net:
         result = [] if self.driver is None else [self.driver]
         return result + list(self.sinks)
 
-    @property
-    def total_pin_cap(self) -> float:
-        """Sum of sink pin capacitances, fF."""
-        return sum(pin.cap for pin in self.sinks)
-
     def __repr__(self) -> str:
         return (f"Net({self.name!r}, {self.kind.value}, "
                 f"{len(self.sinks)} sinks)")

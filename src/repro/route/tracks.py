@@ -205,8 +205,3 @@ class TrackManager:
             for iv in intervals:
                 used += iv.hi - iv.lo
         return min(1.0, used / total) if total > 0 else 0.0
-
-    def track_length_used(self, kind=None) -> float:
-        """Total wirelength registered, optionally filtered by net kind."""
-        return sum(w.length for w in self._wires.values()
-                   if kind is None or w.kind == kind)

@@ -3,8 +3,8 @@
 The experiment suite is a matrix of (design x policy x slack) flow
 runs.  This package turns that matrix into a schedulable workload:
 
-* :class:`~repro.runner.matrix.RunMatrix` / :class:`~repro.runner.matrix.JobSpec`
-  — declarative, serializable cell descriptions;
+* :class:`~repro.runner.matrix.JobSpec` — a declarative, serializable
+  cell description;
 * :class:`~repro.runner.runner.FlowRunner` — executes the matrix with
   ``--jobs N`` worker processes, deduplicates the shared all-NDR
   reference jobs, and content-addresses builds and finished cells
@@ -14,9 +14,8 @@ runs.  This package turns that matrix into a schedulable workload:
   verification diagnostics).
 """
 
-from repro.runner.matrix import (DesignRef, JobSpec, RunMatrix,
-                                 design_ref_fingerprint, expand_design_refs,
-                                 matrix_of, resolve_design)
+from repro.runner.matrix import (DesignRef, JobSpec, design_ref_fingerprint,
+                                 expand_design_refs, resolve_design)
 from repro.runner.runner import FlowRunner, JobResult
 
 __all__ = [
@@ -24,9 +23,7 @@ __all__ = [
     "FlowRunner",
     "JobResult",
     "JobSpec",
-    "RunMatrix",
     "design_ref_fingerprint",
     "expand_design_refs",
-    "matrix_of",
     "resolve_design",
 ]

@@ -1,20 +1,19 @@
-"""Declarative run matrices.
+"""Run-matrix cells and the design references they name.
 
 An experiment in this suite is a matrix of (design x policy x slack)
-cells, each cell one ``run_flow`` invocation.  :class:`RunMatrix`
-declares the cells; :class:`JobSpec` is one cell, fully serializable
-(designs are referenced by benchmark name or JSON path, never by live
-object), so a job can cross a process boundary and be content-hashed.
+cells, each cell one ``run_flow`` invocation.  :class:`JobSpec` is one
+cell, fully serializable (designs are referenced by benchmark name or
+JSON path, never by live object), so a job can cross a process
+boundary and be content-hashed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from repro import obs
 from repro.core.policies import Policy
 from repro.core.stages import PolicyParams
 from repro.netlist.design import Design
@@ -111,78 +110,3 @@ def expand_design_refs(designs: Sequence[DesignRef]) -> tuple[DesignRef, ...]:
                 seen.add(name)
                 out.append(name)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class RunMatrix:
-    """A declarative (designs x policies x slacks) job matrix.
-
-    The cross product is ordered design-major, then policy, then slack
-    — the order the serial CLI produces — plus any explicit
-    ``extra_cells`` appended verbatim.  ``designs`` accepts corpus
-    selectors (``"ckt*"``, ``"family:hierarchical"``, ``"family:*"``)
-    alongside exact names and JSON paths; selectors expand at
-    construction time, so ``len(matrix)`` and ``describe()`` report the
-    concrete cell count.
-    """
-
-    designs: tuple[DesignRef, ...]
-    policies: tuple[Policy, ...]
-    slacks: tuple[Optional[float], ...] = (0.15,)
-    random_fraction: float = 0.3
-    random_seed: int = 0
-    lambda_track: float = 0.05
-    extra_cells: tuple[JobSpec, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        expanded = expand_design_refs(self.designs)
-        if expanded != self.designs:
-            object.__setattr__(self, "designs", expanded)
-        if not self.designs and not self.extra_cells:
-            raise ValueError("empty run matrix: no designs and no cells")
-        if self.designs and not self.policies:
-            raise ValueError("run matrix has designs but no policies")
-
-    def jobs(self) -> list[JobSpec]:
-        """Expand the matrix into its job list."""
-        out = [JobSpec(design=d, policy=p, slack=s,
-                       random_fraction=self.random_fraction,
-                       random_seed=self.random_seed,
-                       lambda_track=self.lambda_track)
-               for d in self.designs
-               for p in self.policies
-               for s in self.slacks]
-        out.extend(self.extra_cells)
-        obs.counter("runner.matrix_expansions").inc()
-        obs.gauge("runner.matrix_cells").set(float(len(out)))
-        return out
-
-    def __len__(self) -> int:
-        return (len(self.designs) * len(self.policies) * len(self.slacks)
-                + len(self.extra_cells))
-
-    def __iter__(self) -> Iterator[JobSpec]:
-        return iter(self.jobs())
-
-    def describe(self) -> str:
-        """One-line human summary of the matrix shape."""
-        return (f"{len(self)} jobs = {len(self.designs)} designs x "
-                f"{len(self.policies)} policies x "
-                f"{len(self.slacks)} slacks"
-                + (f" + {len(self.extra_cells)} extra"
-                   if self.extra_cells else ""))
-
-
-def matrix_of(designs: Union[DesignRef, Sequence[DesignRef]],
-              policies: Union[Policy, Sequence[Policy]],
-              slacks: Union[None, float, Sequence[Optional[float]]] = 0.15,
-              **kwargs: Any) -> RunMatrix:
-    """Convenience constructor accepting scalars or sequences."""
-    if isinstance(designs, str):
-        designs = (designs,)
-    if isinstance(policies, Policy):
-        policies = (policies,)
-    if slacks is None or isinstance(slacks, float):
-        slacks = (slacks,)
-    return RunMatrix(designs=tuple(designs), policies=tuple(policies),
-                     slacks=tuple(slacks), **kwargs)

@@ -1,8 +1,8 @@
 """The parallel flow runner.
 
-:class:`FlowRunner` executes a :class:`~repro.runner.matrix.RunMatrix`
-(or any list of :class:`~repro.runner.matrix.JobSpec`) with a process
-pool, deduplicating shared prerequisites and content-addressing every
+:class:`FlowRunner` executes a list of
+:class:`~repro.runner.matrix.JobSpec` cells with a process pool,
+deduplicating shared prerequisites and content-addressing every
 product through an :class:`~repro.io.artifacts.ArtifactStore`:
 
 * the all-NDR *reference* flow each slack-pegged cell needs for its
@@ -58,8 +58,8 @@ from repro.core.stages import BuildMemo
 from repro.core.targets import RobustnessTargets
 from repro.io.artifacts import ArtifactStore, content_key
 from repro.netlist.design import Design
-from repro.runner.matrix import (DesignRef, JobSpec, RunMatrix,
-                                 design_ref_fingerprint, resolve_design)
+from repro.runner.matrix import (DesignRef, JobSpec, design_ref_fingerprint,
+                                 resolve_design)
 from repro.tech.technology import Technology, default_technology
 
 #: (worst_delta_ps, skew_3sigma_ps) of a design's all-NDR reference.
@@ -430,7 +430,7 @@ class FlowRunner:
 
     # -- matrix API -----------------------------------------------------------
 
-    def run(self, matrix: Union[RunMatrix, Iterable[JobSpec]],
+    def run(self, matrix: Iterable[JobSpec],
             jobs: Optional[int] = None, return_flows: bool = False,
             on_result: Optional[Callable[[JobResult], None]] = None
             ) -> list[JobResult]:

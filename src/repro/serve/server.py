@@ -242,24 +242,31 @@ class ServeDaemon:
             request = request_from_dict(data, kind=kind)
         except (TypeError, ValueError) as exc:
             raise ApiError(400, str(exc))
+        # The key hashes the design's content, so an unknown corpus
+        # name (KeyError) or an unreadable design file (OSError) fails
+        # here: a 400 before the pool, or a stream's 200 head, sees it.
+        try:
+            key = request.content_key() if request.cacheable else None
+        except (KeyError, OSError) as exc:
+            raise ApiError(400, f"cannot resolve design {request.design!r}: "
+                                f"{exc}")
         self._count(f"requests.{kind}")
         obs.counter(f"serve.requests.{kind}").inc()
         if req.flag("stream"):
             return HttpResponse(
-                stream=self._event_stream(request, req.flag("trace")))
+                stream=self._event_stream(request, key, req.flag("trace")))
         started = time.monotonic()
-        envelope = await self._execute(request, req.flag("trace"))
+        envelope = await self._execute(request, key, req.flag("trace"))
         envelope["elapsed_s"] = round(time.monotonic() - started, 6)
         return HttpResponse(payload=envelope)
 
-    async def _event_stream(self, request: Any,
+    async def _event_stream(self, request: Any, key: Optional[str],
                             want_trace: bool) -> AsyncIterator[dict]:
         """The ``?stream=1`` JSONL protocol: accepted → done/error."""
-        key = request.content_key() if request.cacheable else None
         yield {"event": "accepted", "kind": request.KIND, "key": key}
         started = time.monotonic()
         try:
-            envelope = await self._execute(request, want_trace)
+            envelope = await self._execute(request, key, want_trace)
         except Exception as exc:  # noqa: BLE001 - stream the failure
             yield {"event": "error", "kind": request.KIND,
                    "error": f"{type(exc).__name__}: {exc}"}
@@ -267,22 +274,25 @@ class ServeDaemon:
         envelope["elapsed_s"] = round(time.monotonic() - started, 6)
         yield {"event": "done", **envelope}
 
-    async def _execute(self, request: Any,
+    async def _execute(self, request: Any, key: Optional[str],
                        want_trace: bool) -> dict[str, Any]:
-        """Cache → coalesce → compute, returning the response envelope."""
+        """Cache → coalesce → compute, returning the response envelope.
+
+        ``key`` is the request's content key, None when it is not
+        cacheable.
+        """
         assert self.pool is not None, "daemon not started"
         pool = self.pool
         envelope: dict[str, Any] = {"status": "ok", "kind": request.KIND,
-                                    "cached": False, "coalesced": False}
+                                    "cached": False, "coalesced": False,
+                                    "key": key}
         with obs.span("serve.handle", kind=request.KIND):
-            if not request.cacheable:
+            if key is None:
                 payload = await pool.execute(request.to_dict())
                 self._finish(payload, want_trace, envelope)
-                envelope["key"] = None
                 return envelope
-            key = request.content_key()
-            envelope["key"] = key
-            hit = self.store.load(response_store_key(key))
+            store_key = response_store_key(key)
+            hit = self.store.load(store_key)
             if hit is not None:
                 self._count("response_cache_hits")
                 obs.counter("serve.cache_hits").inc()
@@ -291,7 +301,7 @@ class ServeDaemon:
 
             async def supply() -> dict[str, Any]:
                 payload = await pool.execute(request.to_dict())
-                self.store.save(response_store_key(key), payload["result"])
+                self.store.save(store_key, payload["result"])
                 return payload
 
             payload, coalesced = await self.coalescer.run(key, supply)

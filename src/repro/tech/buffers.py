@@ -69,14 +69,6 @@ class BufferCell:
             raise ValueError(f"load capacitance must be non-negative, got {c_load}")
         return self.s_intrinsic + self.k_slew * self.r_drive * c_load
 
-    def switching_energy(self, c_load: float, vdd: float) -> float:
-        """Total energy per full clock cycle (rise+fall), fJ.
-
-        The load term charges/discharges ``c_load`` once per cycle
-        (``C V^2``); the internal term covers crowbar and self-loading.
-        """
-        return c_load * vdd * vdd + self.e_internal
-
 
 @dataclass(frozen=True)
 class BufferLibrary:
@@ -111,17 +103,6 @@ class BufferLibrary:
     @property
     def largest(self) -> BufferCell:
         return self.cells[-1]
-
-    def smallest_driving(self, c_load: float, max_slew: float) -> BufferCell:
-        """Cheapest cell that drives ``c_load`` within ``max_slew`` and max-cap.
-
-        Returns the largest cell if none qualifies (callers detect the
-        violation downstream); clock buffering then splits the load.
-        """
-        for cell in self.cells:
-            if c_load <= cell.max_cap and cell.output_slew(c_load) <= max_slew:
-                return cell
-        return self.largest
 
 
 def default_buffer_library() -> BufferLibrary:

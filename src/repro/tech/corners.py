@@ -53,12 +53,3 @@ FF = ProcessCorner("FF", wire_r=0.88, wire_c=0.94,
 
 #: The standard signoff corner set.
 DEFAULT_CORNERS: tuple[ProcessCorner, ...] = (SS, TT, FF)
-
-
-def corner_by_name(name: str) -> ProcessCorner:
-    """Look up a standard corner by name."""
-    for corner in DEFAULT_CORNERS:
-        if corner.name == name:
-            return corner
-    raise KeyError(f"unknown corner {name!r}; "
-                   f"valid: {[c.name for c in DEFAULT_CORNERS]}")

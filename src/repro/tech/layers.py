@@ -148,13 +148,6 @@ class MetalStack:
                 return layer
         raise KeyError(f"no layer named {name!r}")
 
-    def by_index(self, index: int) -> MetalLayer:
-        """The layer at 1-based stack position ``index``."""
-        for layer in self.layers:
-            if layer.index == index:
-                return layer
-        raise KeyError(f"no layer with index {index}")
-
 
 def default_metal_stack() -> MetalStack:
     """A 45 nm-class 6-layer stack with published-magnitude coefficients.

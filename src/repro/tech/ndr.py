@@ -111,8 +111,3 @@ def rule_by_name(name: Union[RuleName, str]) -> RoutingRule:
         return _BY_STR[str(name)]
     except KeyError:
         raise KeyError(f"unknown routing rule {name!r}; valid: {sorted(_BY_STR)}") from None
-
-
-def upgrades_of(rule: RoutingRule) -> tuple[RoutingRule, ...]:
-    """All strictly more robust rules than ``rule``, cheapest first."""
-    return tuple(r for r in RULE_SET if r.dominates(rule) and r != rule)

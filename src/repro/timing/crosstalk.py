@@ -32,7 +32,6 @@ from typing import Annotated
 from repro.extract.capmodel import WireParasitics
 from repro.extract.rcnetwork import ClockRcNetwork, Stage
 from repro.netlist.cell import Pin
-from repro.timing.arrival import ClockTiming
 from repro.units import Dim
 
 
@@ -61,20 +60,6 @@ class CrosstalkReport:
         if not self.sinks:
             return 0.0
         return sum(s.worst for s in self.sinks) / len(self.sinks)
-
-    def degraded_skew(self, timing: ClockTiming) -> float:
-        """Worst-case skew with crosstalk, ps.
-
-        Opposing aggressors can slow the latest sink down and (switching
-        in-phase) speed the earliest sink up by a comparable amount, so
-        both tails widen.
-        """
-        by_pin = {s.pin.full_name: s for s in self.sinks}
-        late = max(t.arrival + by_pin[t.pin.full_name].worst
-                   for t in timing.sinks)
-        early = min(t.arrival - by_pin[t.pin.full_name].worst
-                    for t in timing.sinks)
-        return late - early
 
 
 def _stage_deltas(stage: Stage, parasitics: dict[int, WireParasitics],

@@ -54,12 +54,6 @@ class MonteCarloResult:
         """The mu + 3 sigma point of the skew distribution, ps."""
         return self.mean_skew + 3.0 * self.std_skew
 
-    def skew_quantile(self, q: float) -> float:
-        """The q-quantile of the skew samples, ps."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        return float(np.quantile(self.skew_samples, q))
-
     @property
     def mean_latency(self) -> float:
         return float(np.mean(self.latency_samples))

@@ -118,6 +118,28 @@ def test_d002_reports_transitive_witness_path(tmp_path):
     assert "pkg.mod.stage -> pkg.mod._helper" in diag.message
 
 
+@pytest.mark.parametrize("annotation", ["Clock", '"Clock"'])
+def test_d002_sees_through_an_annotated_factory(tmp_path, annotation):
+    """``c = make_clock(); c.now()`` resolves through the factory's
+    return annotation, plain or string."""
+    ctx = _context(tmp_path, """\
+        import time
+
+        class Clock:
+            def now(self):
+                return time.time()
+
+        def make_clock() -> ANNOTATION:
+            return Clock()
+
+        def stage(params):
+            c = make_clock()
+            return c.now()
+        """.replace("ANNOTATION", annotation))
+    (diag,) = analyze_program(ctx).by_rule("D002")
+    assert "pkg.mod.stage -> pkg.mod.Clock.now" in diag.message
+
+
 def test_d002_clean_without_clock(tmp_path):
     ctx = _context(tmp_path, """\
         def stage(params):

@@ -55,6 +55,15 @@ def test_sweep_returns_points_in_slack_order(tiny_ref):
     json.dumps(dataclasses.asdict(report))
 
 
+def test_single_design_requests_take_no_selector():
+    """One request reports one design: a selector is an unknown name,
+    never a mix of the designs it matches under the selector's label."""
+    with pytest.raises(KeyError, match="no design named"):
+        compare(CompareRequest(design="ckt6?"), store=False)
+    with pytest.raises(KeyError, match="no design named"):
+        sweep(SweepRequest(design="ckt6?"), store=False)
+
+
 def test_trace_report_renders_file(tmp_path):
     from repro import obs
     from repro.obs.export import export_jsonl

@@ -75,11 +75,6 @@ def test_edge_length_includes_snake():
         tree.edge_length(tree.root_id)
 
 
-def test_total_wirelength():
-    tree = _chain3()
-    assert tree.total_wirelength() == pytest.approx(15.0)
-
-
 def test_insert_above_middle():
     tree = _chain3()
     a = tree.topo_order()[1]

@@ -67,13 +67,10 @@ def test_empty_selector_is_an_error(selector):
         resolve_selectors([selector])
 
 
-def test_run_matrix_expands_selectors():
-    from repro.core import Policy
-    from repro.runner import RunMatrix
+def test_expand_design_refs_expands_selectors():
+    from repro.runner import expand_design_refs
 
-    matrix = RunMatrix(designs=("family:imported", "adhoc", "imp_uart"),
-                       policies=(Policy.SMART,))
     # Selector entries expand and dedup; non-selector refs pass through
     # verbatim (unregistered ad-hoc names stay legal until resolution).
-    assert matrix.designs == ("imp_uart", "imp_noc", "adhoc")
-    assert len(matrix) == 3
+    assert expand_design_refs(("family:imported", "adhoc", "imp_uart")) \
+        == ("imp_uart", "imp_noc", "adhoc")

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geom.point import Point, bounding_center, manhattan
+from repro.geom.point import Point, manhattan
 
 coords = st.floats(min_value=-1e5, max_value=1e5, allow_nan=False)
 
@@ -48,10 +48,3 @@ def test_snapped():
 def test_points_are_ordered_and_hashable():
     assert Point(0, 1) < Point(1, 0)
     assert len({Point(0, 0), Point(0, 0), Point(1, 0)}) == 2
-
-
-def test_bounding_center():
-    pts = [Point(0, 0), Point(4, 0), Point(4, 2)]
-    assert bounding_center(pts) == Point(2, 1)
-    with pytest.raises(ValueError):
-        bounding_center([])

@@ -23,11 +23,6 @@ def test_zero_area_allowed():
     assert r.contains(Point(1, 1))
 
 
-def test_from_points_normalizes():
-    r = Rect.from_points(Point(4, 2), Point(0, 0))
-    assert (r.xlo, r.ylo, r.xhi, r.yhi) == (0, 0, 4, 2)
-
-
 def test_contains_boundary():
     r = Rect(0, 0, 2, 2)
     assert r.contains(Point(0, 0))

@@ -53,14 +53,6 @@ def test_point_at():
         s.point_at(1.1)
 
 
-def test_split_at():
-    s = Segment(Point(0, 0), Point(10, 0))
-    a, b = s.split_at(Point(4, 0))
-    assert a.length == 4 and b.length == 6
-    with pytest.raises(ValueError):
-        s.split_at(Point(4, 1))
-
-
 def test_l_route_general():
     legs = l_route(Point(0, 0), Point(3, 4))
     assert len(legs) == 2

@@ -56,7 +56,6 @@ def test_net_driver_and_sinks(design):
     net.connect_driver(out)
     net.connect_sink(inp)
     assert net.pins == [out, inp]
-    assert net.total_pin_cap == pytest.approx(1.2)
     assert inp.net is net and out.net is net
 
 

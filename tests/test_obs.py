@@ -13,7 +13,7 @@ from repro.obs.export import (TraceSchemaError, export_jsonl, load_trace,
 from repro.obs.metrics import MetricsRegistry, NULL_METRIC
 from repro.obs.report import render_trace_report
 from repro.obs.spans import Tracer
-from repro.runner import FlowRunner, JobSpec, RunMatrix
+from repro.runner import FlowRunner, JobSpec
 
 
 @pytest.fixture(autouse=True)
@@ -257,9 +257,8 @@ def test_worker_trace_shape_matches_in_process(tiny_ref):
     shape as the serial run: every worker cell span under the parent's
     runner.matrix span, and every worker build re-rooted with the
     in-process build's shape."""
-    matrix = RunMatrix(designs=(tiny_ref,),
-                       policies=(Policy.NO_NDR, Policy.ALL_NDR),
-                       slacks=(0.15,))
+    matrix = [JobSpec(design=tiny_ref, policy=p)
+              for p in (Policy.NO_NDR, Policy.ALL_NDR)]
 
     shapes, builds = {}, {}
     for jobs in (1, 2):
@@ -333,8 +332,7 @@ def test_full_extractions_show_where_they_run(tiny_design, tech):
 def test_cached_rerun_metrics_report_cache_hits(tmp_path, tiny_ref):
     """Warm rerun: every cell served from the store, and the metric
     registry says so (cells_cached + artifact hits, no computes)."""
-    matrix = RunMatrix(designs=(tiny_ref,), policies=(Policy.NO_NDR,),
-                       slacks=(0.15,))
+    matrix = [JobSpec(design=tiny_ref, policy=Policy.NO_NDR)]
     store = tmp_path / "store"
 
     tracer = obs.enable("cold")

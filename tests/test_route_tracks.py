@@ -143,11 +143,3 @@ def test_layer_utilization(tm, m5, grid):
     assert tm.layer_utilization(m5) == 0.0
     tm.register(_wire(0, m5, grid, 10, 0, 100))
     assert 0.0 < tm.layer_utilization(m5) < 0.01
-
-
-def test_track_length_used_by_kind(tm, m5, grid):
-    tm.register(_wire(0, m5, grid, 10, 0, 40, kind=NetKind.CLOCK, net="clk"))
-    tm.register(_wire(1, m5, grid, 12, 0, 25))
-    assert tm.track_length_used(NetKind.CLOCK) == pytest.approx(40.0)
-    assert tm.track_length_used(NetKind.SIGNAL) == pytest.approx(25.0)
-    assert tm.track_length_used() == pytest.approx(65.0)

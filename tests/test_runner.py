@@ -1,4 +1,4 @@
-"""FlowRunner / RunMatrix: expansion, dedupe, parallel == serial."""
+"""FlowRunner / JobSpec: dedupe, caching, parallel == serial."""
 
 from __future__ import annotations
 
@@ -6,11 +6,12 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.core import Policy
 from repro.core.flow import run_flow
 from repro.core.stages import PolicyParams
-from repro.runner import (FlowRunner, JobSpec, RunMatrix,
-                          design_ref_fingerprint, matrix_of, resolve_design)
+from repro.runner import (FlowRunner, JobSpec, design_ref_fingerprint,
+                          resolve_design)
 
 POLICIES = (Policy.NO_NDR, Policy.ALL_NDR, Policy.SMART)
 
@@ -30,35 +31,7 @@ def _runner(tmp_path, **kwargs) -> FlowRunner:
     return FlowRunner(**kwargs)
 
 
-# -- matrix declarations ------------------------------------------------------
-
-
-def test_matrix_expansion_is_design_major():
-    matrix = RunMatrix(designs=("a", "b"), policies=(Policy.SMART,
-                                                     Policy.NO_NDR),
-                       slacks=(0.15, 0.4))
-    jobs = matrix.jobs()
-    assert len(matrix) == len(jobs) == 8
-    assert [j.design for j in jobs[:4]] == ["a"] * 4
-    assert jobs[0] == JobSpec(design="a", policy=Policy.SMART, slack=0.15)
-    assert jobs[1].slack == 0.4
-    assert "8 jobs" in matrix.describe()
-
-
-def test_matrix_rejects_empty_and_accepts_extra_cells():
-    with pytest.raises(ValueError):
-        RunMatrix(designs=(), policies=())
-    with pytest.raises(ValueError):
-        RunMatrix(designs=("a",), policies=())
-    extra = JobSpec(design="a", policy=Policy.RANDOM, random_seed=7)
-    matrix = RunMatrix(designs=(), policies=(), extra_cells=(extra,))
-    assert list(matrix) == [extra]
-
-
-def test_matrix_of_accepts_scalars():
-    matrix = matrix_of("a", Policy.SMART, 0.2)
-    assert list(matrix) == [JobSpec(design="a", policy=Policy.SMART,
-                                    slack=0.2)]
+# -- job declarations ---------------------------------------------------------
 
 
 def test_reference_job_pegs_to_all_ndr():
@@ -126,8 +99,8 @@ def test_worker_process_matches_in_process(tiny_ref, tmp_path):
 
 def test_reference_computed_once_per_design(tiny_ref, tmp_path):
     runner = _runner(tmp_path)
-    matrix = matrix_of(tiny_ref, Policy.SMART, (0.6, 0.15))
-    runner.run(matrix)
+    runner.run([JobSpec(design=tiny_ref, policy=Policy.SMART, slack=slack)
+                for slack in (0.6, 0.15)])
     assert list(runner._ref_metrics) == [tiny_ref]
     # Both cells pegged to the same reference; looser budget never
     # needs more upgrades than the tighter one.
@@ -257,7 +230,13 @@ def test_warm_api_calls_read_records_only(tiny_ref, tmp_path, unverified,
     cold = [call(request, store=store) for call, request in calls]
     assert "FlowResult" not in loads  # a cold ALL-NDR cell reads a record
     loads.clear()
-    warm = [call(request, store=store) for call, request in calls]
+    with obs.capture("warm") as warm_trace:
+        warm = [call(request, store=store) for call, request in calls]
+    # Nothing is built or optimized: every cell span of the warm pass
+    # is answered from its stored record.
+    spans = {r.name for r in warm_trace.records}
+    assert obs.CELL_SPAN in spans
+    assert not spans & {"flow.build", "flow.policy"}, spans
     assert loads and set(loads) == {"CellRecord"}
     assert all(c.cached for c in warm[0].cells) and warm[2].cached
     assert [_timeless(w) for w in warm] == [_timeless(c) for c in cold]
@@ -455,7 +434,7 @@ def test_designs_resolve_once_per_content(tiny_ref, tmp_path, unverified,
     assert resolved == [str(path)]
 
     runner = FlowRunner(store=store)
-    matrix = matrix_of(str(path), POLICIES, 0.15)
+    matrix = [JobSpec(design=str(path), policy=p) for p in POLICIES]
     first = runner.run(matrix)
     runner.run(matrix)
     assert len(resolved) == 2  # once for the new runner, then memoized

@@ -157,17 +157,27 @@ def _daemon_config(tmp_path, **overrides):
     return ServeConfig(**defaults)
 
 
-def test_daemon_coalesces_and_caches(tmp_path, tiny_ref):
+def _measured(result):
+    """A run result without its cache flag and wall time."""
+    return {k: v for k, v in result.items()
+            if k not in ("cached", "runtime_s")}
+
+
+@pytest.mark.parametrize("path,fields", [
+    pytest.param("/v1/run", {"policy": "smart", "slack": 0.3}, id="run"),
+    pytest.param("/v1/sweep", {"slacks": [0.5, 0.2]}, id="sweep"),
+])
+def test_daemon_coalesces_and_caches(tmp_path, tiny_ref, path, fields):
     """N identical concurrent requests -> exactly one computation."""
     async def main():
         daemon = ServeDaemon(_daemon_config(tmp_path))
         await daemon.start()
         try:
-            payload = {"design": tiny_ref, "policy": "smart", "slack": 0.3}
+            payload = {"design": tiny_ref, **fields}
             results = await asyncio.gather(*[
-                _post_json(daemon.port, "/v1/run", payload)
+                _post_json(daemon.port, path, payload)
                 for _ in range(6)])
-            repeat = await _post_json(daemon.port, "/v1/run", payload)
+            repeat = await _post_json(daemon.port, path, payload)
             stats = daemon.stats()
             return daemon, results, repeat, stats
         finally:
@@ -176,8 +186,9 @@ def test_daemon_coalesces_and_caches(tmp_path, tiny_ref):
     daemon, results, repeat, stats = asyncio.run(main())
     assert all(status == 200 and env["status"] == "ok"
                for status, env in results)
-    powers = {env["result"]["summary"]["power_uw"] for _, env in results}
-    assert len(powers) == 1  # everyone got the same computed report
+    # Everyone got the same computed report.
+    assert all(env["result"] == results[0][1]["result"]
+               for _, env in results)
     # The proof: one computation, one pool submission, 5 coalesced.
     assert stats["coalescer"]["computations"] == 1
     assert stats["pool"]["submitted"] == 1
@@ -188,6 +199,45 @@ def test_daemon_coalesces_and_caches(tmp_path, tiny_ref):
     assert stats["counters"]["response_cache_hits"] == 1
     keys = {env["key"] for _, env in results}
     assert keys == {repeat[1]["key"]} and None not in keys
+
+
+def test_daemon_distinct_slacks_each_compute(tmp_path, tiny_ref):
+    """Concurrent smart runs at distinct slacks on two workers: each
+    computes its own cell (none is answered by another's record), each
+    equals the in-process run, and each repeat is a response-cache hit."""
+    from repro import api
+
+    bodies = [{"design": tiny_ref, "policy": "smart", "slack": slack}
+              for slack in (0.21, 0.23, 0.25, 0.27)]
+
+    async def main():
+        daemon = ServeDaemon(_daemon_config(tmp_path, workers=2))
+        await daemon.start()
+        try:
+            cold = await asyncio.gather(*[
+                _post_json(daemon.port, "/v1/run?trace=1", body)
+                for body in bodies])
+            cold_submitted = daemon.pool.submitted
+            hot = await asyncio.gather(*[
+                _post_json(daemon.port, "/v1/run", body) for body in bodies])
+            return cold, cold_submitted, hot, daemon.pool.submitted
+        finally:
+            await daemon.stop()
+
+    cold, cold_submitted, hot, hot_submitted = asyncio.run(main())
+    assert [status for status, _ in cold] == [200] * len(bodies)
+    assert cold_submitted == len(bodies)
+    for body, (_, env) in zip(bodies, cold):
+        smart_cells = [r["attrs"] for r in env["trace"]["records"]
+                       if r["name"] == obs.CELL_SPAN
+                       and r["attrs"]["policy"] == "smart"]
+        assert [cell["cached"] for cell in smart_cells] == [False], body
+        direct = api.report_to_dict(api.run(api.FlowRequest(**body),
+                                            store=False))
+        assert _measured(env["result"]) \
+            == _measured(json.loads(json.dumps(direct))), body
+    assert all(status == 200 and env["cached"] for status, env in hot)
+    assert hot_submitted == len(bodies)
 
 
 def test_daemon_http_errors_and_stats(tmp_path):
@@ -230,8 +280,9 @@ def test_daemon_http_errors_and_stats(tmp_path):
     assert out["gc"][1]["evicted"] == 0
 
 
-#: Bodies the request schema rejects before any worker sees them: each
-#: used to reach the pool (and fail there, after a full reference flow).
+#: Bodies the daemon rejects with 400 before any worker sees them: an
+#: out-of-range or mistyped number, an unknown design (also when
+#: streamed, before the 200 head) and an unreadable design file.
 BAD_FLOW_BODIES = [
     pytest.param("/v1/run", {"design": "x", "slack": "0.2"}, id="run-slack-str"),
     pytest.param("/v1/run", {"design": "x", "slack": -0.1}, id="run-slack-neg"),
@@ -258,6 +309,18 @@ BAD_FLOW_BODIES = [
                  id="sweep-slack-str"),
     pytest.param("/v1/sweep", {"design": "x", "slacks": [True]},
                  id="sweep-slack-bool"),
+    pytest.param("/v1/run", {"design": "no-such-design"},
+                 id="run-unknown-design"),
+    pytest.param("/v1/compare", {"design": "no-such-design"},
+                 id="compare-unknown-design"),
+    pytest.param("/v1/sweep", {"design": "no-such-design"},
+                 id="sweep-unknown-design"),
+    pytest.param("/v1/lint", {"design": "no-such-design"},
+                 id="lint-unknown-design"),
+    pytest.param("/v1/run", {"design": "no-such-design.json"},
+                 id="run-missing-design-file"),
+    pytest.param("/v1/run?stream=1", {"design": "no-such-design"},
+                 id="run-stream-unknown-design"),
 ]
 
 
@@ -380,9 +443,5 @@ def test_eviction_never_removes_inflight_response(tmp_path, tiny_ref):
     status, env = repeat
     assert status == 200 and not env["cached"]
     assert stats["coalescer"]["computations"] == 2
-    def measured(result):
-        return {k: v for k, v in result.items()
-                if k not in ("cached", "runtime_s")}
-
-    assert all(measured(e["result"]) == measured(env["result"])
+    assert all(_measured(e["result"]) == _measured(env["result"])
                for _, e in results)

@@ -49,33 +49,6 @@ def test_negative_load_rejected(lib):
         lib.smallest.output_slew(-1.0)
 
 
-def test_switching_energy_includes_internal(lib):
-    cell = lib.smallest
-    assert cell.switching_energy(0.0, 1.0) == pytest.approx(cell.e_internal)
-    assert cell.switching_energy(10.0, 1.0) == pytest.approx(
-        10.0 + cell.e_internal)
-
-
-def test_switching_energy_scales_with_vdd_squared(lib):
-    cell = lib.smallest
-    e1 = cell.switching_energy(10.0, 1.0) - cell.e_internal
-    e2 = cell.switching_energy(10.0, 2.0) - cell.e_internal
-    assert e2 == pytest.approx(4.0 * e1)
-
-
-def test_smallest_driving_picks_cheapest_legal(lib):
-    cell = lib.smallest_driving(10.0, max_slew=80.0)
-    assert cell is lib.smallest or cell.size < lib.largest.size
-    # The chosen cell actually meets the constraints.
-    assert 10.0 <= cell.max_cap
-    assert cell.output_slew(10.0) <= 80.0
-
-
-def test_smallest_driving_falls_back_to_largest(lib):
-    huge = 10_000.0
-    assert lib.smallest_driving(huge, max_slew=1.0) is lib.largest
-
-
 def test_by_name_unknown(lib):
     with pytest.raises(KeyError):
         lib.by_name("CLKBUF_X99")

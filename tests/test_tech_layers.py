@@ -29,15 +29,12 @@ def test_layer_directions_alternate(stack):
 
 def test_by_name_and_index_agree(stack):
     for layer in stack:
-        assert stack.by_index(layer.index) is layer
         assert stack.by_name(layer.name) is layer
 
 
 def test_unknown_layer_raises(stack):
     with pytest.raises(KeyError):
         stack.by_name("M9")
-    with pytest.raises(KeyError):
-        stack.by_index(42)
 
 
 def test_resistance_halves_at_double_width(m5):

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.tech.layers import default_metal_stack
-from repro.tech.ndr import (RULE_SET, RoutingRule, RuleName, rule_by_name,
-                            upgrades_of)
+from repro.tech.ndr import RULE_SET, RoutingRule, RuleName, rule_by_name
 
 
 def test_rule_set_has_five_rules_default_first():
@@ -39,19 +38,6 @@ def test_dominance_lattice():
     assert not w1s2.dominates(w2s1)
     for rule in RULE_SET:
         assert rule.dominates(rule)
-
-
-def test_upgrades_of_default_is_everything_else():
-    assert upgrades_of(RULE_SET[0]) == RULE_SET[1:]
-
-
-def test_upgrades_of_w2s1():
-    names = [r.name.value for r in upgrades_of(rule_by_name("W2S1"))]
-    assert names == ["W2S2", "W4S2"]
-
-
-def test_upgrades_of_top_rule_is_empty():
-    assert upgrades_of(rule_by_name("W4S2")) == ()
 
 
 def test_width_and_spacing_on_layer():

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.tech.corners import (DEFAULT_CORNERS, FF, SS, TT, ProcessCorner,
-                                corner_by_name)
+from repro.tech.corners import DEFAULT_CORNERS, FF, SS, TT, ProcessCorner
 from repro.timing.arrival import analyze_clock_timing
 from repro.timing.corners import analyze_corners, corner_timing
 
@@ -11,12 +10,6 @@ from repro.timing.corners import analyze_corners, corner_timing
 @pytest.fixture(scope="module")
 def report(small_physical, tech):
     return analyze_corners(small_physical.extraction.network, tech)
-
-
-def test_corner_lookup():
-    assert corner_by_name("SS") is SS
-    with pytest.raises(KeyError):
-        corner_by_name("XX")
 
 
 def test_corner_validation():

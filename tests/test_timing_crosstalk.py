@@ -4,7 +4,6 @@ import pytest
 
 from repro.extract import extract
 from repro.tech import rule_by_name
-from repro.timing.arrival import analyze_clock_timing
 from repro.timing.crosstalk import analyze_crosstalk
 
 
@@ -37,11 +36,6 @@ def test_alignment_validation(small_physical):
     ext = small_physical.extraction
     with pytest.raises(ValueError):
         analyze_crosstalk(ext.network, ext.wires, alignment=1.5)
-
-
-def test_degraded_skew_at_least_nominal(report, small_physical, tech):
-    timing = analyze_clock_timing(small_physical.extraction.network, tech)
-    assert report.degraded_skew(timing) >= timing.skew
 
 
 def test_worst_delta_reported(report):

@@ -25,7 +25,6 @@ def test_shapes_and_stats(small_physical, tech):
     assert mc.skew_samples.shape == (80,)
     assert mc.mean_skew > 0.0
     assert mc.skew_3sigma >= mc.mean_skew
-    assert mc.skew_quantile(0.5) <= mc.skew_quantile(0.99)
 
 
 def test_seed_determinism(small_physical, tech):
@@ -56,12 +55,6 @@ def test_sample_count_validation(small_physical, tech):
     with pytest.raises(ValueError):
         run_monte_carlo(ext.network, ext.wires, small_physical.routing,
                         tech, n_samples=1)
-
-
-def test_quantile_validation(small_physical, tech):
-    mc = _mc(small_physical, tech, n=10)
-    with pytest.raises(ValueError):
-        mc.skew_quantile(1.5)
 
 
 def test_arrival_sigma_positive(small_physical, tech):
