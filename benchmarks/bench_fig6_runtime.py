@@ -80,7 +80,7 @@ def test_fig6_optimizer_inner_loop_speedup(capsys, matrix):
         phys = build_physical_design(generate_design(spec), matrix.tech)
         opt = SmartNdrOptimizer(phys.tree, phys.routing, matrix.tech,
                                 targets, freq, use_engine=use_engine)
-        with obs.capture(f"opt:{use_engine}", reroot=False) as tracer:
+        with obs.capture(f"opt:{use_engine}") as tracer:
             result = opt.run(phys.extraction)
         return tracer, result
 

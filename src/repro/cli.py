@@ -50,7 +50,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -61,7 +60,7 @@ from repro.api import (CellReport, CompareRequest, FlowRequest, LintRequest,
 from repro.designs import benchmark_suite, generate_design, spec_by_name
 from repro.core import Policy
 from repro.io import save_rule_assignment, write_wire_report
-from repro.runner import FlowRunner
+from repro.runner import FlowRunner, design_ref_fingerprint
 from repro.viz import save_clock_svg
 from repro.reporting import Table
 from repro.tech import default_technology
@@ -469,7 +468,6 @@ def cmd_serve(args) -> int:
 
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
-        verify=bool(os.environ.get("REPRO_VERIFY_FLOWS")),
         store_root=args.store or None,
         max_store_bytes=args.max_store_bytes,
         warm=not args.no_warm)
@@ -705,6 +703,17 @@ def _finish_trace(tracer: obs.Tracer, args) -> None:
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    design = getattr(args, "design", "")
+    try:
+        # Hashing a reference fails as resolving it would: KeyError for
+        # an unknown corpus name, OSError for an unreadable file.
+        if design:
+            design_ref_fingerprint(design)
+    except (KeyError, OSError) as exc:
+        reason = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"repro {args.command}: cannot resolve design '{design}': "
+              f"{reason}", file=sys.stderr)
+        return 2
     handler = {
         "suite": cmd_suite,
         "run": cmd_run,

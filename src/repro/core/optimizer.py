@@ -46,6 +46,9 @@ from repro.route.router import RoutingResult
 from repro.tech.ndr import RoutingRule
 from repro.tech.technology import Technology
 
+#: How many of the worst delta-delay sinks one planning round repairs.
+DELTA_TOP_SINKS = 50
+
 
 @dataclass
 class OptimizeResult:
@@ -335,7 +338,7 @@ class SmartNdrOptimizer:
 
     def _plan_delta(self, extraction: Extraction, analyses: AnalysisBundle,
                     contexts: dict[int, WireContext],
-                    plan: dict[int, Move], top_sinks: int = 50) -> None:
+                    plan: dict[int, Move]) -> None:
         """Fix the worst delta-delay sinks by best reduction-per-cost upgrades.
 
         Sinks are processed worst-first; upgrades already planned for
@@ -346,7 +349,7 @@ class SmartNdrOptimizer:
         budget = self.targets.max_worst_delta
         offenders = sorted(
             (s for s in analyses.crosstalk.sinks if s.worst > budget),
-            key=lambda s: s.worst, reverse=True)[:top_sinks]
+            key=lambda s: s.worst, reverse=True)[:DELTA_TOP_SINKS]
         # Coupling-survival ratio of wires already planned this round.
         planned_ratio: dict[int, float] = {}
         sens_cache: dict[tuple[int, str], RuleSensitivity] = {}

@@ -16,8 +16,7 @@ cache keys derive from specs.
 
 from repro.designs.aggressors import generate_aggressors
 from repro.designs.corpus import benchmark_suite, register_builtin_families
-from repro.designs.generate import (generate_design, generator_names,
-                                    register_generator)
+from repro.designs.generate import generate_design, generator_names
 from repro.designs.importer import (DEFLITE_SCHEMA, ImportContext,
                                     deflite_to_design, design_to_deflite,
                                     import_design, load_deflite,
@@ -52,7 +51,6 @@ __all__ = [
     "load_deflite",
     "register_builtin_families",
     "register_design_family",
-    "register_generator",
     "resolve_selectors",
     "save_deflite",
     "spec_by_name",

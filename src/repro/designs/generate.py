@@ -29,13 +29,6 @@ _GENERATORS: dict[str, GeneratorFn] = {
 }
 
 
-def register_generator(name: str, fn: GeneratorFn) -> None:
-    """Register a custom generator under ``name`` (unique)."""
-    if name in _GENERATORS or name == "imported":
-        raise ValueError(f"generator {name!r} registered twice")
-    _GENERATORS[name] = fn
-
-
 def generator_names() -> tuple[str, ...]:
     """Every usable ``DesignSpec.generator`` value, sorted."""
     return tuple(sorted(_GENERATORS)) + ("imported",)  # static: ok[C003] populated at import time

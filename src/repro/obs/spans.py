@@ -16,8 +16,10 @@ the same trace *shape* on every run and in every process.
 
 Cross-process propagation is explicit and identity-preserving:
 
-* a worker runs under a fresh captured tracer (:func:`capture`) and
-  ships :meth:`Tracer.export_payload` back with its result;
+* in-process work records into whatever tracer is installed;
+* a pool worker runs each job under a fresh captured tracer
+  (:func:`capture`) and ships :meth:`Tracer.export_payload` back with
+  its result;
 * the parent calls :meth:`Tracer.adopt`, which re-ids the records onto
   its own counter, re-roots the payload's root spans under a chosen
   parent span, and merges the metric deltas.
@@ -210,17 +212,14 @@ def span(name: str, **attrs: Any) -> Iterator[Optional[SpanRecord]]:
 
 
 @contextmanager
-def capture(name: str = "capture", reroot: bool = True) -> Iterator[Tracer]:
+def capture(name: str = "capture") -> Iterator[Tracer]:
     """Run the block under a fresh tracer; yield it.
 
     The installed tracer (if any) is swapped out for the block and
-    restored afterwards.  With ``reroot`` (the default), the captured
-    trace is then adopted into the outer tracer under the context's
-    current span — the outer trace still sees every span, but each one
-    exactly once, keyed by identity rather than flat-merged by name.
-    This is how the runner gives every job its own trace without
-    losing the spans from a ``--trace`` session total, and it is the
-    span-identity fix for a flat name-keyed merge's double-count.
+    restored afterwards; the captured spans and metrics stay on the
+    yielded tracer.  A pool entry point captures its job this way and
+    ships :meth:`Tracer.export_payload` to its parent, which adopts it
+    exactly once (:meth:`Tracer.adopt`).
     """
     global _TRACER
     outer = _TRACER
@@ -232,6 +231,3 @@ def capture(name: str = "capture", reroot: bool = True) -> Iterator[Tracer]:
     finally:
         _STACK.reset(stack_token)
         _TRACER = outer  # static: ok[D004] restores the outer tracer; tracing state never crosses processes
-        if outer is not None and reroot:
-            outer.adopt(inner.export_payload(),
-                        parent_id=current_span_id())

@@ -10,8 +10,8 @@ runs.  This package turns that matrix into a schedulable workload:
   reference jobs, and content-addresses builds and finished cells
   through the :class:`~repro.io.artifacts.ArtifactStore`;
 * :class:`~repro.runner.runner.JobResult` — the per-cell record
-  streamed back to the parent (summary metrics, phase timings,
-  verification diagnostics).
+  streamed back to the parent (summary metrics, and a pool worker's
+  trace payload).
 """
 
 from repro.runner.matrix import (DesignRef, JobSpec, design_ref_fingerprint,

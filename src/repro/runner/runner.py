@@ -32,14 +32,12 @@ product through an :class:`~repro.io.artifacts.ArtifactStore`:
 * each design resolves once per runner (once per worker in a pool),
   memoized by its content fingerprint.
 
-Workers stream a full :mod:`repro.obs` trace — their span tree plus
-metric deltas — and static verification diagnostics back to the
-parent inside each :class:`JobResult`; when the parent session is
-traced, :meth:`FlowRunner.run` re-roots every worker trace under its
+A cell records into the active tracer.  Only a pool worker captures
+one, shipping its span tree plus metric deltas back inside each
+:class:`JobResult`; a traced parent re-roots it under its
 ``runner.matrix`` span, so a parallel run yields one coherent trace.
-The ``REPRO_VERIFY_FLOWS`` hook fires identically inside workers (the
-pool initializer forwards the parent's setting into each worker's
-environment before any flow runs).
+``REPRO_VERIFY_FLOWS`` is read when the runner is built and forwarded
+to its workers by the pool initializer.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 from repro import obs
 from repro.core.flow import FlowResult, run_flow
@@ -78,15 +76,13 @@ FORWARDED_ENV_WHITELIST: tuple[str, ...] = ("REPRO_VERIFY_FLOWS",
 class JobResult:
     """What one matrix cell streams back to the parent.
 
-    Always lightweight-serializable: summary metrics, rule histogram
-    and verification diagnostics.  ``trace`` is the cell's full span
-    tree + metric deltas (:meth:`repro.obs.Tracer.export_payload`) when
-    the cell ran under a tracer the caller cannot see (a worker
-    process, or an untraced parent); it is ``None`` once a traced
-    parent has adopted it — adoption is by span identity, exactly
-    once.  The full :class:`FlowResult` rides along only when the
-    caller asked for it (``return_flows=True``); it is pickled across
-    the process boundary in that case.
+    Always lightweight-serializable: summary metrics and rule
+    histogram.  ``trace`` is a pool worker's span tree + metric deltas
+    (:meth:`repro.obs.Tracer.export_payload`); it is ``None`` for an
+    in-process cell and once a traced parent has adopted it — exactly
+    once, by span identity.  The full :class:`FlowResult` rides along
+    only when the caller asked for it (``return_flows=True``); it is
+    pickled across the process boundary in that case.
     """
 
     job: JobSpec
@@ -95,7 +91,6 @@ class JobResult:
     ndr_track_cost: float
     feasible: bool
     runtime: float
-    diagnostics: list[dict[str, object]] = field(default_factory=list)
     cached: bool = False
     trace: Optional[dict[str, Any]] = None
     flow: Optional[FlowResult] = None
@@ -232,27 +227,12 @@ def _save_cell(store: ArtifactStore, key: str, record: CellRecord,
     store.save(key, record)
 
 
-def _verify_diagnostics(flow: FlowResult, label: str) -> list[dict[str, object]]:
-    """Run the static verifier; return diagnostics, raise on ERRORs."""
-    from repro.verify import (VerificationError, VerifyContext, run_checks)
-
-    report = run_checks(VerifyContext.from_flow(flow))
-    if report.has_errors:
-        raise VerificationError(report, label)
-    return [d.to_dict() for d in report.diagnostics]
-
-
 def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
                  ctx: _ExecContext) -> JobResult:
-    """Run (or load) one cell and package the streamed result.
+    """Run (or load) one cell under a ``runner.cell`` span.
 
-    The cell always executes under a captured tracer wrapped in one
-    ``runner.cell`` span, so its spans stream back even when the
-    session is untraced.  A traced caller sees the cell's spans
-    re-rooted under its current span on capture exit (identity
-    adoption, so a cell run in-process on a cache fallback is counted
-    once); otherwise the payload rides back on ``JobResult.trace``
-    for the parent process to adopt.
+    ``run_flow``'s hook verifies a computed flow; under verification a
+    flow loaded from the store is checked here instead.
     """
     start = time.perf_counter()  # static: ok[D002] feeds JobResult.runtime metadata only
     design = ctx.design(job.design)
@@ -264,40 +244,37 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
     # stores, the compact record.
     need_flow = ctx.verify or ctx.return_flows
 
-    with obs.capture(f"cell:{job.label}") as tracer:
-        with tracer.span(obs.CELL_SPAN, cell=job.label,
-                         design=str(job.design),
-                         policy=job.policy.value) as cell:
-            record: Optional[CellRecord] = None
-            flow: Optional[FlowResult] = None
+    with obs.span(obs.CELL_SPAN, cell=job.label, design=str(job.design),
+                  policy=job.policy.value) as cell:
+        record: Optional[CellRecord] = None
+        flow: Optional[FlowResult] = None
+        if key is not None and store is not None:
+            record, flow = _load_cell(store, key, need_flow)
+        cached = record is not None
+        if record is None:
+            flow = run_flow(design, ctx.tech, policy=job.policy,
+                            targets=targets,
+                            random_fraction=job.random_fraction,
+                            random_seed=job.random_seed,
+                            lambda_track=job.lambda_track,
+                            store=ctx.store, memo=ctx.builds)
+            record = CellRecord.of(flow)
             if key is not None and store is not None:
-                record, flow = _load_cell(store, key, need_flow)
-            cached = record is not None
-            if record is None:
-                flow = run_flow(design, ctx.tech, policy=job.policy,
-                                targets=targets,
-                                random_fraction=job.random_fraction,
-                                random_seed=job.random_seed,
-                                lambda_track=job.lambda_track,
-                                store=ctx.store, memo=ctx.builds)
-                record = CellRecord.of(flow)
-                if key is not None and store is not None:
-                    _save_cell(store, key, record,
-                               flow if need_flow else None)
-            elif flow is not None:
-                # A budget-blind cell's flow may have been stored by
-                # another slack: hand it back under this cell's budgets.
-                flow = replace(flow, targets=targets)
-            summary, feasible = record.judged(targets)
-            diagnostics: list[dict[str, object]] = []
+                _save_cell(store, key, record, flow if need_flow else None)
+        elif flow is not None:
+            # A budget-blind cell's flow may have been stored by
+            # another slack: hand it back under this cell's budgets.
+            flow = replace(flow, targets=targets)
             if ctx.verify:
-                assert flow is not None  # need_flow loaded or computed it
-                diagnostics = _verify_diagnostics(flow, f"runner:{job.label}")
+                from repro.verify import assert_flow_clean
+
+                assert_flow_clean(flow, f"runner:{job.label}")
+        summary, feasible = record.judged(targets)
+        if cell is not None:
             cell.attrs["cached"] = cached
             cell.attrs["flow_loaded"] = cached and flow is not None
-            tracer.metrics.counter(
-                "runner.cells_cached" if cached
-                else "runner.cells_computed").inc()
+        obs.counter("runner.cells_cached" if cached
+                    else "runner.cells_computed").inc()
 
     return JobResult(
         job=job,
@@ -306,9 +283,7 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
         ndr_track_cost=record.ndr_track_cost,
         feasible=feasible,
         runtime=time.perf_counter() - start,  # static: ok[D002] feeds JobResult.runtime metadata only
-        diagnostics=diagnostics,
         cached=cached,
-        trace=None if obs.active() is not None else tracer.export_payload(),
         flow=flow if ctx.return_flows else None,
     )
 
@@ -329,8 +304,7 @@ def _pool_init(tech: Technology, store_root: Optional[str], verify: bool,
     """
     global _WORKER_CTX
     # A forked worker inherits the parent's installed tracer; drop it so
-    # every cell's trace streams back on JobResult.trace (the parent
-    # adopts it exactly once) instead of vanishing into the fork copy.
+    # nothing outside a job's capture records into the fork copy.
     obs.disable()
     if verify:
         os.environ["REPRO_VERIFY_FLOWS"] = "1"
@@ -342,9 +316,12 @@ def _pool_init(tech: Technology, store_root: Optional[str], verify: bool,
 
 
 def _pool_run(job: JobSpec, metrics: Optional[RefMetrics]) -> JobResult:
-    """Pool entry point: execute one job under the worker context."""
+    """Pool entry point: execute one job, capturing its trace."""
     assert _WORKER_CTX is not None, "pool used before initialization"
-    return _execute_job(job, metrics, _WORKER_CTX)
+    with obs.capture(f"cell:{job.label}") as tracer:
+        result = _execute_job(job, metrics, _WORKER_CTX)
+    result.trace = tracer.export_payload()
+    return result
 
 
 class FlowRunner:
@@ -361,14 +338,14 @@ class FlowRunner:
     jobs:
         Default worker count for :meth:`run`; ``1`` executes in-process
         (same code path, no pool).
-    verify:
-        Run the static verifier on every cell and stream its
-        diagnostics back.  ``None`` follows ``REPRO_VERIFY_FLOWS``.
+
+    Flows are verified when ``REPRO_VERIFY_FLOWS`` is set at
+    construction.
     """
 
     def __init__(self, tech: Optional[Technology] = None,
                  store: Union[ArtifactStore, str, Path, None, bool] = True,
-                 jobs: int = 1, verify: Optional[bool] = None) -> None:
+                 jobs: int = 1) -> None:
         self.tech = tech if tech is not None else default_technology()
         resolved: Optional[ArtifactStore]
         if isinstance(store, ArtifactStore):
@@ -381,9 +358,7 @@ class FlowRunner:
             resolved = ArtifactStore(store)
         self.store: Optional[ArtifactStore] = resolved
         self.jobs = max(1, int(jobs))
-        if verify is None:
-            verify = bool(os.environ.get("REPRO_VERIFY_FLOWS"))
-        self.verify = verify
+        self.verify = bool(os.environ.get("REPRO_VERIFY_FLOWS"))
         self._ref_metrics: dict[DesignRef, RefMetrics] = {}
         self._designs: dict[str, Design] = {}
         self._builds = BuildMemo()
@@ -431,8 +406,7 @@ class FlowRunner:
     # -- matrix API -----------------------------------------------------------
 
     def run(self, matrix: Iterable[JobSpec],
-            jobs: Optional[int] = None, return_flows: bool = False,
-            on_result: Optional[Callable[[JobResult], None]] = None
+            jobs: Optional[int] = None, return_flows: bool = False
             ) -> list[JobResult]:
         """Execute every cell; results in matrix order.
 
@@ -442,8 +416,7 @@ class FlowRunner:
         design's cells run together and fork one build.  With
         ``jobs > 1`` a process pool computes the deduplicated
         references first, then the cells; duplicate cells execute once
-        and fan out to every position.  ``on_result`` fires in
-        completion order as cells finish.
+        and fan out to every position.
 
         When the session is traced, the whole run is one
         ``runner.matrix`` span; every worker's streamed trace payload
@@ -467,20 +440,13 @@ class FlowRunner:
                       references=len(ref_jobs),
                       workers=n_workers) as matrix_span:
             if n_workers <= 1:
-                serial: list[JobResult] = []
-                for job in job_list:
-                    result = self.run_job(job, return_flow=return_flows)
-                    if on_result is not None:
-                        on_result(result)
-                    serial.append(result)
-                return serial
-            results = self._run_pool(job_list, ref_jobs, n_workers,
-                                     return_flows, on_result, matrix_span)
-        return results
+                return [self.run_job(job, return_flow=return_flows)
+                        for job in job_list]
+            return self._run_pool(job_list, ref_jobs, n_workers,
+                                  return_flows, matrix_span)
 
     def _run_pool(self, job_list: list[JobSpec], ref_jobs: list[JobSpec],
                   n_workers: int, return_flows: bool,
-                  on_result: Optional[Callable[[JobResult], None]],
                   matrix_span: Optional[obs.SpanRecord]) -> list[JobResult]:
         """The pooled phases of :meth:`run` (references, then cells)."""
         tracer = obs.active()
@@ -527,8 +493,6 @@ class FlowRunner:
                 for future in done:
                     result = future.result()
                     absorb(result)
-                    if on_result is not None:
-                        on_result(result)
                     for i in unique[future_of[future]]:
                         slots[i] = result
         results = [r for r in slots if r is not None]

@@ -5,15 +5,17 @@ same typed request objects the CLI parses), answers identical repeats
 from the response cache, coalesces identical *in-flight* work through
 the :class:`~repro.serve.coalesce.Coalescer`, and schedules cold
 requests onto a persistent :class:`~repro.serve.workers.WorkerPool`.
-Worker span trees are adopted into the daemon's tracer, so one traced
-daemon session reads as a single tree across every request and
-process.  See ``docs/SERVICE.md`` for the endpoint reference.
+Worker span trees are adopted into an outer ``--trace`` session, so
+that session reads as a single tree across every request and process.
+See ``docs/SERVICE.md`` for the endpoint reference.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
+import os
 import time
 from typing import Any, AsyncIterator, Optional
 
@@ -48,7 +50,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8787
     workers: int = 2
-    verify: bool = False
     store_root: Optional[str] = None
     max_store_bytes: Optional[int] = None
     #: Pre-spawn every worker (kernel imports) before accepting.
@@ -86,13 +87,15 @@ class ServeDaemon:
         """Open the pool and start accepting connections.
 
         Without an outer ``--trace`` session the daemon installs its
-        own tracer, so /v1/metrics and adopted worker spans are live.
+        own tracer, for metrics only, so /v1/metrics is live.  Workers
+        verify flows when ``REPRO_VERIFY_FLOWS`` is set now.
         """
         if obs.active() is None:
             obs.enable("serve")
             self._owns_tracer = True
         self.pool = WorkerPool(
-            workers=self.config.workers, verify=self.config.verify,
+            workers=self.config.workers,
+            verify=bool(os.environ.get("REPRO_VERIFY_FLOWS")),
             store_root=str(self.store.root))
         if self.config.warm:
             await self.pool.warm()
@@ -286,7 +289,9 @@ class ServeDaemon:
         envelope: dict[str, Any] = {"status": "ok", "kind": request.KIND,
                                     "cached": False, "coalesced": False,
                                     "key": key}
-        with obs.span("serve.handle", kind=request.KIND):
+        # The daemon's own tracer keeps metrics, not spans: no reader.
+        with (contextlib.nullcontext() if self._owns_tracer
+              else obs.span("serve.handle", kind=request.KIND)):
             if key is None:
                 payload = await pool.execute(request.to_dict())
                 self._finish(payload, want_trace, envelope)
@@ -313,13 +318,16 @@ class ServeDaemon:
 
     def _finish(self, payload: dict[str, Any], want_trace: bool,
                 envelope: dict[str, Any]) -> None:
-        """Adopt the worker trace (once) and fill in the result."""
+        """Fold the worker trace in (once) and fill in the result."""
         envelope["result"] = payload["result"]
         trace = payload.pop("trace", None)
         if trace is not None:
             tracer = obs.active()
             if tracer is not None:
-                tracer.adopt(trace, parent_id=obs.current_span_id())
+                if self._owns_tracer:
+                    tracer.metrics.merge(trace["metrics"])
+                else:
+                    tracer.adopt(trace, parent_id=obs.current_span_id())
             if want_trace:
                 envelope["trace"] = trace
 

@@ -32,14 +32,14 @@ _WORKER_READY: bool = False
 def _serve_pool_init(verify: bool, store_root: Optional[str]) -> None:
     """Per-worker initializer: forward env, open the warm store.
 
-    ``REPRO_VERIFY_FLOWS`` is captured once in the daemon and replayed
-    here, exactly like the flow runner's pool initializer, so flows
-    behave identically in workers and in-process.
+    ``REPRO_VERIFY_FLOWS`` is read once by the daemon as it builds the
+    pool and replayed here, exactly like the flow runner's pool
+    initializer, so flows behave identically in workers and in-process.
     """
     global _WORKER_STORE, _WORKER_READY
     # A forked worker inherits the daemon's installed tracer; drop it
     # so every request's trace streams back inside the result payload
-    # (the daemon adopts it exactly once).
+    # (the daemon folds it in exactly once).
     obs.disable()
     if verify:
         os.environ["REPRO_VERIFY_FLOWS"] = "1"

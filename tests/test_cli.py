@@ -167,6 +167,25 @@ def test_trace_subcommand_rejects_bad_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,design", [
+    ("run", "nope"),
+    ("compare", "ckt6?"),
+    ("sweep", "missing.json"),
+    ("lint", "nope"),
+])
+def test_unresolvable_design_exits_2_with_one_line(tmp_path, monkeypatch,
+                                                   capsys, command, design):
+    monkeypatch.chdir(tmp_path)  # "missing.json" names no file here
+    code = main([command, "--design", design])
+    out, err = capsys.readouterr()
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(
+        f"repro {command}: cannot resolve design '{design}': "), err
+    assert "Traceback" not in err and out == ""
+
+
 def test_suite_json_flag_parses():
     args = build_parser().parse_args(["suite", "--json", "--jobs", "2"])
     assert args.command == "suite" and args.json and args.jobs == 2

@@ -81,22 +81,22 @@ def test_trace_shape_is_deterministic():
     assert run_once() == run_once()
 
 
-def test_capture_reroots_exactly_once():
+def test_capture_swaps_the_tracer_and_keeps_what_it_records():
     tracer = obs.enable("outer")
     with obs.span("session"):
-        with obs.capture("cell") as inner:
+        with obs.capture("job") as inner:
             with obs.span("work"):  # lands on the captured tracer
                 pass
-        assert [r.name for r in inner.records] == ["work"]
-    # The outer trace sees the captured span once, under "session".
-    names = [r.name for r in tracer.records]
-    assert names == ["session", "work"]
-    by_name = {r.name: r for r in tracer.records}
-    assert by_name["work"].parent_id == by_name["session"].span_id
-    assert tracer.phase_totals()["work"]["calls"] == 1
+            obs.counter("n").inc()
+        assert obs.active() is tracer
+    assert [(r.name, r.parent_id) for r in inner.records] == [("work", None)]
+    assert inner.metrics.value("n") == 1.0
+    # Nothing reaches the outer trace until someone adopts the payload.
+    assert [r.name for r in tracer.records] == ["session"]
+    assert len(tracer.metrics) == 0
 
 
-def test_adopt_reroots_reids_and_merges_metrics():
+def test_adopt_reparents_reids_and_merges_metrics():
     worker = Tracer("worker")
     with worker.span("cell"):
         with worker.span("phase"):

@@ -147,8 +147,8 @@ def test_store_disabled_still_runs(tiny_ref):
 # -- streamed phases and verification -----------------------------------------
 
 
-def test_phases_and_diagnostics_stream_back(tiny_ref, tmp_path):
-    runner = _runner(tmp_path, verify=True)
+def test_phases_stream_back(tiny_ref, tmp_path):
+    runner = _runner(tmp_path)
     jobs = [JobSpec(design=tiny_ref, policy=p) for p in POLICIES]
     results = runner.run(jobs, jobs=2)
     smart = next(r for r in results if r.job.policy == Policy.SMART)
@@ -159,8 +159,36 @@ def test_phases_and_diagnostics_stream_back(tiny_ref, tmp_path):
                     if rec["name"] == "flow.policy"]
     assert len(policy_spans) == 1
     assert policy_spans[0]["dur_s"] >= 0.0
-    for r in results:
-        assert isinstance(r.diagnostics, list)  # verifier ran, no ERRORs
+
+
+def test_in_process_cells_leave_no_trace_payload(tiny_ref):
+    """An in-process cell records into the active tracer, if any, and
+    ships nothing: only a pool worker captures a trace payload."""
+    job = JobSpec(design=tiny_ref, policy=Policy.NO_NDR, slack=None)
+    assert FlowRunner(store=None).run_job(job).trace is None
+    tracer = obs.enable("session")
+    try:
+        result = FlowRunner(store=None).run_job(job)
+    finally:
+        obs.disable()
+    assert result.trace is None
+    assert [r.name for r in tracer.records].count(obs.CELL_SPAN) == 1
+    assert tracer.metrics.value("runner.cells_computed") == 1.0
+
+
+def test_each_computed_flow_is_verified_once(tiny_ref):
+    """Under REPRO_VERIFY_FLOWS (set suite-wide) a computed cell runs
+    the check registry once, in ``run_flow``'s hook."""
+    from repro.verify import verify_flow
+
+    assert os.environ.get("REPRO_VERIFY_FLOWS")
+    job = JobSpec(design=tiny_ref, policy=Policy.NO_NDR, slack=None)
+    with obs.capture("verify") as tracer:
+        result = FlowRunner(store=None).run_job(job, return_flow=True)
+    assert not result.cached
+    one_pass = len(verify_flow(result.flow).checks_run)
+    assert one_pass > 0
+    assert tracer.metrics.value("verify.checks_run") == one_pass
 
 
 def test_pool_initializer_forwards_verify_env(tech, monkeypatch):
@@ -299,17 +327,27 @@ def test_cell_record_judges_like_the_flow(tiny_design):
 
 
 def test_warm_flow_callers_get_flows_matching_records(tiny_ref, tmp_path,
-                                                      unverified):
-    from repro.verify import VerifyContext, run_checks
+                                                      monkeypatch):
+    from repro.verify import VerifyContext, run_checks, verify_flow
 
     store = str(tmp_path / "artifacts")
     # The NO-NDR cell at 0.6 shares the 0.15 cell's record and flow.
     jobs = [JobSpec(design=tiny_ref, policy=p) for p in POLICIES]
     jobs.append(JobSpec(design=tiny_ref, policy=Policy.NO_NDR, slack=0.6))
-    cold = FlowRunner(store=store, verify=True).run(jobs)
-    flow_runner = FlowRunner(store=store, verify=False)
+    monkeypatch.setenv("REPRO_VERIFY_FLOWS", "1")
+    cold = FlowRunner(store=store).run(jobs)
+    monkeypatch.delenv("REPRO_VERIFY_FLOWS")
+    flow_runner = FlowRunner(store=store)
     warm_flows = flow_runner.run(jobs, return_flows=True)
-    warm_verified = FlowRunner(store=store, verify=True).run(jobs)
+    monkeypatch.setenv("REPRO_VERIFY_FLOWS", "1")
+    with obs.capture("warm-verified") as tracer:
+        warm_verified = FlowRunner(store=store).run(jobs)
+    # Nothing is computed, and every loaded flow (the reference's and
+    # each cell's) is checked once.
+    one_pass = len(verify_flow(warm_flows[0].flow).checks_run)
+    assert tracer.metrics.value("runner.cells_cached") == len(jobs) + 1
+    assert tracer.metrics.value("verify.checks_run") \
+        == (len(jobs) + 1) * one_pass
     for c, f, v in zip(cold, warm_flows, warm_verified):
         assert f.cached and v.cached
         assert f.flow is not None and v.flow is None
@@ -319,7 +357,6 @@ def test_warm_flow_callers_get_flows_matching_records(tiny_ref, tmp_path,
         assert f.flow.summary() == f.summary == c.summary  # bit for bit
         assert f.flow.rule_histogram == f.rule_histogram
         assert v.summary == c.summary
-        assert v.diagnostics == c.diagnostics
     smart = warm_flows[POLICIES.index(Policy.SMART)].flow
     assert smart.optimize is not None and smart.optimize.engine is not None
     # The loaded engine is what the oracle inspects, and it is coherent.

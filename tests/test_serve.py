@@ -240,6 +240,61 @@ def test_daemon_distinct_slacks_each_compute(tmp_path, tiny_ref):
     assert hot_submitted == len(bodies)
 
 
+def test_daemon_workers_verify_under_the_variable(tmp_path, tiny_ref):
+    """REPRO_VERIFY_FLOWS (set suite-wide) reaches the daemon's
+    workers: the flows they compute run the check registry."""
+    import os
+
+    assert os.environ.get("REPRO_VERIFY_FLOWS")
+
+    async def main():
+        daemon = ServeDaemon(_daemon_config(tmp_path))
+        await daemon.start()
+        try:
+            return await _post_json(
+                daemon.port, "/v1/run?trace=1",
+                {"design": tiny_ref, "policy": "smart", "slack": 0.33})
+        finally:
+            await daemon.stop()
+
+    status, env = asyncio.run(main())
+    assert status == 200, env
+    assert env["trace"]["metrics"]["verify.checks_run"]["value"] > 0
+
+
+def test_daemon_keeps_metrics_not_spans(tmp_path, tiny_ref):
+    """A daemon that installed its own tracer keeps no span records,
+    however many requests it serves, and still merges the workers'
+    counters into /v1/metrics."""
+    bodies = [{"design": tiny_ref, "policy": "no-ndr",
+               "slack": round(0.2 + 0.01 * i, 2)} for i in range(20)]
+
+    async def main():
+        daemon = ServeDaemon(_daemon_config(tmp_path))
+        await daemon.start()
+        try:
+            records = {}
+            for i, body in enumerate(bodies, start=1):
+                for _ in range(2):  # a miss, then its response-cache hit
+                    status, _env = await _post_json(daemon.port, "/v1/run",
+                                                    body)
+                    assert status == 200
+                if 2 * i in (10, 40):
+                    records[2 * i] = len(obs.active().records)
+            _, metrics = await _get_json(daemon.port, "/v1/metrics")
+            return records, metrics["metrics"], daemon.stats()
+        finally:
+            await daemon.stop()
+
+    records, metrics, stats = asyncio.run(main())
+    assert records == {10: 0, 40: 0}
+    assert stats["counters"]["response_cache_hits"] == len(bodies)
+    assert metrics["serve.computations"]["value"] == len(bodies)
+    assert metrics["runner.cells_computed"]["value"] == 2  # cell + reference
+    assert metrics["runner.cells_cached"]["value"] == 2 * len(bodies) - 2
+    assert metrics["artifacts.hits"]["value"] > 0
+
+
 def test_daemon_http_errors_and_stats(tmp_path):
     async def main():
         daemon = ServeDaemon(_daemon_config(tmp_path, warm=False))
