@@ -31,13 +31,17 @@ The machinery: :mod:`repro.analysis.callgraph` builds a module-level
 call graph with import/alias/re-export/self resolution;
 :mod:`repro.analysis.effects` infers per-function effects and
 propagates them to a fixpoint over that graph;
-:mod:`repro.analysis.report` wires the rules into the
-:mod:`repro.verify` check registry under kind ``"static"`` and defines
-the inline ``# static: ok[CODE] rationale`` suppression syntax.
+:mod:`repro.analysis.report` defines the :class:`StaticContext` every
+static check reads and the inline ``# static: ok[CODE] rationale``
+suppression syntax.  :data:`STATIC_CHECKS` is the family's one table;
+:func:`analyze_program` runs it through the verifier's shared runner.
 
 Entry points: ``repro lint --static [pkgroot]`` (CLI) and
 :func:`analyze_program` / :func:`build_static_context` (library).
 """
+
+import fnmatch
+from typing import Optional, Sequence
 
 from repro.analysis.callgraph import (CallSite, ClassInfo, FunctionInfo,
                                       ModuleInfo, ProgramModel, build_program)
@@ -46,22 +50,17 @@ from repro.analysis.dimensions import (AbsVal, DimConfig, DimensionAnalysis,
 from repro.analysis.effects import (Effect, EffectOrigin, TransitiveOrigin,
                                     direct_effects, param_attr_reads,
                                     reachable_from, transitive_origins)
+from repro.analysis import (rules_cachekey, rules_determinism,
+                            rules_invalidation, rules_state, rules_units)
 from repro.analysis.report import (DEFAULT_DETERMINISM_ROOTS,
                                    DEFAULT_DIM_SIGNATURE_ROOTS,
                                    DEFAULT_PROCESS_ROOTS,
                                    DEFAULT_WORKER_GROUPS, ContextStateSpec,
                                    StaticContext, Suppression, WorkerGroup,
-                                   analyze_program, build_static_context,
-                                   expand_code_patterns,
+                                   build_static_context, check_static_config,
                                    unsuppressed_rationales)
-
-# Importing the rule modules registers every D/C/I/S/Q/U check; keep
-# these after the registry-facing imports (they decorate into it).
-from repro.analysis import rules_determinism as _rules_d   # noqa: E402,F401
-from repro.analysis import rules_cachekey as _rules_c      # noqa: E402,F401
-from repro.analysis import rules_invalidation as _rules_i  # noqa: E402,F401
-from repro.analysis import rules_state as _rules_s         # noqa: E402,F401
-from repro.analysis import rules_units as _rules_q         # noqa: E402,F401
+from repro.verify.diagnostics import VerifyReport
+from repro.verify.registry import Check, run_family
 
 __all__ = [
     "AbsVal",
@@ -80,6 +79,7 @@ __all__ = [
     "FunctionInfo",
     "ModuleInfo",
     "ProgramModel",
+    "STATIC_CHECKS",
     "SignatureGap",
     "StaticContext",
     "Suppression",
@@ -95,3 +95,61 @@ __all__ = [
     "transitive_origins",
     "unsuppressed_rationales",
 ]
+
+#: The static family: every D/C/I/S/Q/U code plus the config check.
+STATIC_CHECKS: tuple[Check[StaticContext], ...] = (
+    Check("D001", "static", rules_determinism.check_unseeded_rng),
+    Check("D002", "static", rules_determinism.check_wall_clock),
+    Check("D003", "static", rules_determinism.check_env_reads),
+    Check("D004", "static", rules_determinism.check_shared_state),
+    Check("D005", "static", rules_determinism.check_set_order),
+    Check("D006", "static", rules_determinism.check_object_identity),
+    Check("C001", "static", rules_cachekey.check_unhashed_reads),
+    Check("C002", "static", rules_cachekey.check_dead_hash_fields),
+    Check("C003", "static", rules_cachekey.check_ambient_inputs),
+    Check("I001", "static", rules_invalidation.check_unpaired_writes),
+    Check("I002", "static", rules_invalidation.check_dead_guards),
+    Check("I003", "static", rules_invalidation.check_stale_reads),
+    Check("S001", "static", rules_state.check_worker_globals),
+    Check("S002", "static", rules_state.check_payload_types),
+    Check("S003", "static", rules_state.check_env_seam),
+    Check("S004", "static", rules_state.check_context_state),
+    Check("Q001", "static", rules_units.check_dimension_mismatch),
+    Check("Q002", "static", rules_units.check_unnamed_conversion),
+    Check("Q003", "static", rules_units.check_call_dimension),
+    Check("Q004", "static", rules_units.check_signature_coverage),
+    Check("Q005", "static", rules_units.check_manifest_field_use),
+    Check("U001", "static", rules_units.check_float_equality),
+    Check("U002", "static", rules_units.check_conversion_literal),
+    Check("static-config", "static", check_static_config),
+)
+
+
+def expand_code_patterns(codes: Sequence[str]) -> list[str]:
+    """Expand ``fnmatch`` patterns (``Q*``, ``U00?``) to static rule ids.
+
+    Raises :class:`KeyError` for a pattern that matches no static
+    check — a silent no-match would make ``--codes Q*`` look clean
+    when the pattern simply names nothing.
+    """
+    available = [check.rule for check in STATIC_CHECKS]
+    selected: list[str] = []
+    for pattern in codes:
+        matched = fnmatch.filter(available, pattern)
+        if not matched:
+            raise KeyError(
+                f"code pattern {pattern!r} matches no registered static "
+                f"check (known: {', '.join(sorted(available))})")
+        selected.extend(rule for rule in matched if rule not in selected)
+    return selected
+
+
+def analyze_program(ctx: StaticContext,
+                    codes: Optional[Sequence[str]] = None) -> VerifyReport:
+    """Run the static checks over ``ctx``.
+
+    ``codes`` restricts the run to rule ids matching the given
+    ``fnmatch`` patterns (e.g. ``["Q*"]`` for the dimension family).
+    """
+    rules = expand_code_patterns(codes) if codes else None
+    return run_family(ctx, STATIC_CHECKS, rules)

@@ -1,10 +1,11 @@
-"""Static-analysis context, suppressions and the run entry point.
+"""Static-analysis context and inline suppressions.
 
 ``repro lint --static`` builds a :class:`StaticContext` — the program
 model plus the declared analysis roots, the runner's forwarded-env
-whitelist and the cache-key manifest — and pushes it through the same
-check registry the DRC/oracle families use, so D/C findings come out
-as ordinary :class:`~repro.verify.diagnostics.Diagnostic` records in a
+whitelist and the cache-key manifest — and runs the static checks over
+it (:data:`repro.analysis.STATIC_CHECKS`, the same runner the DRC/oracle
+family uses), so D/C findings come out as ordinary
+:class:`~repro.verify.diagnostics.Diagnostic` records in a
 :class:`~repro.verify.diagnostics.VerifyReport`.
 
 Suppressions are inline and carry the code they silence::
@@ -15,7 +16,8 @@ Suppressions are inline and carry the code they silence::
 A marker without a rationale after the bracket is still honored at
 runtime but fails the repo's own hygiene test
 (``tests/test_analysis_static.py``), which keeps the acceptance rule
-"every suppression carries a rationale" machine-checked.
+"every suppression carries a rationale" machine-checked; so does a
+marker that silences nothing.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from repro.analysis.callgraph import ProgramModel, build_program
-from repro.verify.diagnostics import Diagnostic, Severity, VerifyReport
-from repro.verify.registry import register, registered_checks, run_checks
+from repro.verify.diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:  # runtime imports stay lazy: the analyzer is AST-pure
     from repro.engine.invariants import StateInvariant
@@ -175,12 +176,9 @@ class StaticContext:
         return marker is not None and code in marker.codes
 
 
-@register("static-config", kind="static")
-def check_static_config(ctx: Any) -> Iterator[Diagnostic]:
+def check_static_config(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Declared roots and manifest entries resolve to real functions."""
-    program = getattr(ctx, "program", None)
-    if program is None:
-        return
+    program = ctx.program
     for root in (*ctx.determinism_roots, *ctx.process_roots):
         if root not in program.functions:
             yield Diagnostic(
@@ -210,20 +208,20 @@ def check_static_config(ctx: Any) -> Iterator[Diagnostic]:
                  "invariants, repro.analysis.report defaults) in sync "
                  "with the code it describes")
 
-    for inv in getattr(ctx, "invariants", ()):
+    for inv in ctx.invariants:
         if inv.cls not in program.classes:
             yield unknown("state invariant", inv.cls, "class")
-    for group in getattr(ctx, "worker_groups", ()):
+    for group in ctx.worker_groups:
         if group.entry not in program.functions:
             yield unknown("worker group", group.entry, "entry function")
         if group.initializer \
                 and group.initializer not in program.functions:
             yield unknown("worker group", group.initializer,
                           "initializer function")
-    for payload in getattr(ctx, "payload_types", ()):
+    for payload in ctx.payload_types:
         if payload not in program.classes:
             yield unknown("payload type", payload, "class")
-    for spec in getattr(ctx, "context_specs", ()):
+    for spec in ctx.context_specs:
         for name in (*spec.accessors, *spec.installers):
             if name not in program.functions:
                 yield unknown(f"context spec '{spec.name}'", name,
@@ -263,39 +261,6 @@ def build_static_context(
                              f"repro.units.{name}": dim
                              for name, dim in UNIT_DIMENSIONS.items()},
                          dim_signature_roots=DEFAULT_DIM_SIGNATURE_ROOTS)
-
-
-def expand_code_patterns(codes: Sequence[str]) -> list[str]:
-    """Expand ``fnmatch`` patterns (``Q*``, ``U00?``) to static rule ids.
-
-    Raises :class:`KeyError` for a pattern that matches no registered
-    static check — a silent no-match would make ``--codes Q*`` look
-    clean when the Q family simply failed to register.
-    """
-    import fnmatch
-
-    available = [check.rule for check in registered_checks(["static"])]
-    selected: list[str] = []
-    for pattern in codes:
-        matched = fnmatch.filter(available, pattern)
-        if not matched:
-            raise KeyError(
-                f"code pattern {pattern!r} matches no registered static "
-                f"check (known: {', '.join(sorted(available))})")
-        selected.extend(rule for rule in matched if rule not in selected)
-    return selected
-
-
-def analyze_program(ctx: StaticContext,
-                    codes: Optional[Sequence[str]] = None) -> VerifyReport:
-    """Run registered static checks over ``ctx``.
-
-    ``codes`` restricts the run to rule ids matching the given
-    ``fnmatch`` patterns (e.g. ``["Q*"]`` for the dimension family).
-    """
-    rules = expand_code_patterns(codes) if codes else None
-    return run_checks(ctx, rules=rules,
-                      kinds=["static"])  # type: ignore[arg-type]
 
 
 def unsuppressed_rationales(ctx: StaticContext) -> list[Suppression]:

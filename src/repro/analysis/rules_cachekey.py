@@ -26,13 +26,13 @@ as reading ``design``, ``policy`` and ``slack``), using the
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.analysis.callgraph import ProgramModel
 from repro.analysis.effects import (Effect, param_attr_reads,
                                     transitive_origins)
+from repro.analysis.report import StaticContext
 from repro.verify.diagnostics import Diagnostic, Severity
-from repro.verify.registry import register
 
 
 def stage_field_reads(program: ProgramModel, stage: str, params_param: str,
@@ -75,18 +75,10 @@ def stage_field_reads(program: ProgramModel, stage: str, params_param: str,
     return expanded
 
 
-def _manifest_entries(ctx: Any) -> Iterator[tuple[ProgramModel, Any]]:
-    program = getattr(ctx, "program", None)
-    if program is None:
-        return
-    for entry in ctx.manifest:
-        yield program, entry
-
-
-@register("C001", kind="static")
-def check_unhashed_reads(ctx: Any) -> Iterator[Diagnostic]:
+def check_unhashed_reads(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Stage reads a parameter field the content key does not hash."""
-    for program, entry in _manifest_entries(ctx):
+    program = ctx.program
+    for entry in ctx.manifest:
         read = stage_field_reads(program, entry.stage, entry.params_param,
                                  entry.params_type)
         if read is None:
@@ -107,10 +99,10 @@ def check_unhashed_reads(ctx: Any) -> Iterator[Diagnostic]:
                      "STAGE_KEY_MANIFEST) or stop reading it")
 
 
-@register("C002", kind="static")
-def check_dead_hash_fields(ctx: Any) -> Iterator[Diagnostic]:
+def check_dead_hash_fields(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Content key hashes a parameter field the stage never reads."""
-    for program, entry in _manifest_entries(ctx):
+    program = ctx.program
+    for entry in ctx.manifest:
         read = stage_field_reads(program, entry.stage, entry.params_param,
                                  entry.params_type)
         if read is None:
@@ -132,11 +124,11 @@ def check_dead_hash_fields(ctx: Any) -> Iterator[Diagnostic]:
                      "to the analyzer")
 
 
-@register("C003", kind="static")
-def check_ambient_inputs(ctx: Any) -> Iterator[Diagnostic]:
+def check_ambient_inputs(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Stage closure reads ambient state no content key can hash."""
     seen: set[tuple[str, int, str]] = set()
-    for program, entry in _manifest_entries(ctx):
+    program = ctx.program
+    for entry in ctx.manifest:
         if entry.stage not in program.functions:
             continue
         origins = transitive_origins(

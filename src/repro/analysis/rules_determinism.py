@@ -29,12 +29,12 @@ a legitimate flow never needs an unsuppressed occurrence.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.analysis.effects import (Effect, EffectOrigin,
                                     transitive_origins)
+from repro.analysis.report import StaticContext
 from repro.verify.diagnostics import Diagnostic, Severity
-from repro.verify.registry import register
 
 
 def _render_path(path: tuple[str, ...]) -> str:
@@ -44,14 +44,12 @@ def _render_path(path: tuple[str, ...]) -> str:
 
 
 def _effect_diagnostics(
-        ctx: Any, code: str, effects: Iterable[Effect],
+        ctx: StaticContext, code: str, effects: Iterable[Effect],
         roots: Iterable[str], hint: str,
         origin_filter: Optional[Callable[[EffectOrigin], bool]] = None,
 ) -> Iterator[Diagnostic]:
     """Shared D-code engine: reachable origins -> deduped diagnostics."""
-    program = getattr(ctx, "program", None)
-    if program is None:
-        return  # not a static-analysis run; skip gracefully
+    program = ctx.program
     seen: set[tuple[str, int, str]] = set()
     for root in roots:
         if root not in program.functions:
@@ -74,20 +72,12 @@ def _effect_diagnostics(
                 hint=hint)
 
 
-def _all_roots(ctx: Any) -> tuple[str, ...]:
+def _all_roots(ctx: StaticContext) -> tuple[str, ...]:
     return tuple(ctx.determinism_roots) + tuple(ctx.process_roots)
 
 
-def _is_static(ctx: Any) -> bool:
-    """True for a StaticContext; flow VerifyContexts skip these checks."""
-    return getattr(ctx, "program", None) is not None
-
-
-@register("D001", kind="static")
-def check_unseeded_rng(ctx: Any) -> Iterator[Diagnostic]:
+def check_unseeded_rng(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Unseeded RNG state reachable from a stage or worker root."""
-    if not _is_static(ctx):
-        return
     yield from _effect_diagnostics(
         ctx, "D001", (Effect.RANDOM_SEEDLESS,), _all_roots(ctx),
         hint="thread an explicit seed through the call chain "
@@ -95,11 +85,8 @@ def check_unseeded_rng(ctx: Any) -> Iterator[Diagnostic]:
              "between workers and reruns")
 
 
-@register("D002", kind="static")
-def check_wall_clock(ctx: Any) -> Iterator[Diagnostic]:
+def check_wall_clock(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Wall-clock reads reachable from a stage or worker root."""
-    if not _is_static(ctx):
-        return
     yield from _effect_diagnostics(
         ctx, "D002", (Effect.WALL_CLOCK,), _all_roots(ctx),
         hint="wall-clock values folded into results break bit-identical "
@@ -107,11 +94,8 @@ def check_wall_clock(ctx: Any) -> Iterator[Diagnostic]:
              "origin with a rationale")
 
 
-@register("D003", kind="static")
-def check_env_reads(ctx: Any) -> Iterator[Diagnostic]:
+def check_env_reads(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Environment reads outside the runner's forwarded whitelist."""
-    if not _is_static(ctx):
-        return
     whitelist = set(ctx.env_whitelist)
 
     def outside_whitelist(origin: EffectOrigin) -> bool:
@@ -125,11 +109,8 @@ def check_env_reads(ctx: Any) -> Iterator[Diagnostic]:
              "flow starts and pass it as an argument")
 
 
-@register("D004", kind="static")
-def check_shared_state(ctx: Any) -> Iterator[Diagnostic]:
+def check_shared_state(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Module/closure state mutation reachable from a stage or worker root."""
-    if not _is_static(ctx):
-        return
     whitelist = set(ctx.env_whitelist)
 
     def relevant(origin: EffectOrigin) -> bool:
@@ -146,22 +127,16 @@ def check_shared_state(ctx: Any) -> Iterator[Diagnostic]:
              "return the value instead")
 
 
-@register("D005", kind="static")
-def check_set_order(ctx: Any) -> Iterator[Diagnostic]:
+def check_set_order(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Set iteration order escaping into results."""
-    if not _is_static(ctx):
-        return
     yield from _effect_diagnostics(
         ctx, "D005", (Effect.SET_ORDER,), _all_roots(ctx),
         hint="set iteration order depends on hash seeds and insertion "
              "history; iterate sorted(the_set) when elements escape")
 
 
-@register("D006", kind="static")
-def check_object_identity(ctx: Any) -> Iterator[Diagnostic]:
+def check_object_identity(ctx: StaticContext) -> Iterator[Diagnostic]:
     """id()/hash() feeding results reachable from a root."""
-    if not _is_static(ctx):
-        return
     yield from _effect_diagnostics(
         ctx, "D006", (Effect.OBJECT_IDENTITY,), _all_roots(ctx),
         hint="id() is an address and str hashes are salted per process; "

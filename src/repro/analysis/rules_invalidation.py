@@ -31,12 +31,12 @@ marks.  Suppress a deliberate occurrence with
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.analysis.callgraph import ClassInfo, FunctionInfo, ProgramModel
 from repro.analysis.effects import statement_postdominated
+from repro.analysis.report import StaticContext
 from repro.verify.diagnostics import Diagnostic, Severity
-from repro.verify.registry import register
 
 if TYPE_CHECKING:  # the analyzer stays AST-pure: no engine import at runtime
     from repro.engine.invariants import StateInvariant
@@ -45,12 +45,11 @@ SatPredicate = Callable[[ast.stmt], bool]
 
 
 def _invariant_classes(
-        ctx: Any) -> Iterator[tuple[ProgramModel, StateInvariant, ClassInfo]]:
+        ctx: StaticContext
+) -> Iterator[tuple[ProgramModel, StateInvariant, ClassInfo]]:
     """(program, invariant, class) for each declared class that exists."""
-    program = getattr(ctx, "program", None)
-    if program is None:
-        return
-    for inv in getattr(ctx, "invariants", ()):
+    program = ctx.program
+    for inv in ctx.invariants:
         cls = program.classes.get(inv.cls)
         if cls is not None:  # unknown classes -> static-config
             yield program, inv, cls
@@ -157,8 +156,7 @@ def _writer_call_sites(program: ProgramModel, cls: ClassInfo,
                     yield caller, stmt
 
 
-@register("I001", kind="static")
-def check_unpaired_writes(ctx: Any) -> Iterator[Diagnostic]:
+def check_unpaired_writes(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Guarded-field writes not post-dominated by the paired invalidation."""
     for program, inv, cls in _invariant_classes(ctx):
         fields = frozenset(inv.guarded_fields)
@@ -221,8 +219,7 @@ def check_unpaired_writes(ctx: Any) -> Iterator[Diagnostic]:
                          "state (see repro.engine.invariants)")
 
 
-@register("I002", kind="static")
-def check_dead_guards(ctx: Any) -> Iterator[Diagnostic]:
+def check_dead_guards(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Manifest drift: invalidators/fields the class no longer backs."""
     for program, inv, cls in _invariant_classes(ctx):
         for name in (*inv.invalidators,
@@ -299,8 +296,7 @@ def _mentions_barrier(fn: FunctionInfo, inv: StateInvariant) -> bool:
     return False
 
 
-@register("I003", kind="static")
-def check_stale_reads(ctx: Any) -> Iterator[Diagnostic]:
+def check_stale_reads(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Public guarded-state reads with no recompile barrier in sight."""
     for program, inv, cls in _invariant_classes(ctx):
         if inv.stale_flag is None or inv.barrier is None:

@@ -34,27 +34,23 @@ entry definition).  All S-codes are ERROR.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.analysis.callgraph import (ClassInfo, FunctionInfo, ModuleInfo,
                                       ProgramModel)
 from repro.analysis.effects import (Effect, TransitiveOrigin, _locals_of,
                                     direct_effects, reachable_from,
                                     transitive_origins)
+from repro.analysis.report import StaticContext, WorkerGroup
 from repro.verify.diagnostics import Diagnostic, Severity
-from repro.verify.registry import register
-
-if TYPE_CHECKING:
-    from repro.analysis.report import WorkerGroup
 
 
 def _program_and_groups(
-        ctx: Any) -> Optional[tuple[ProgramModel, tuple["WorkerGroup", ...]]]:
-    program = getattr(ctx, "program", None)
-    groups = tuple(getattr(ctx, "worker_groups", ()))
-    if program is None or not groups:
+        ctx: StaticContext
+) -> Optional[tuple[ProgramModel, tuple[WorkerGroup, ...]]]:
+    if not ctx.worker_groups:
         return None
-    return program, groups
+    return ctx.program, tuple(ctx.worker_groups)
 
 
 def _render_path(path: tuple[str, ...]) -> str:
@@ -101,7 +97,7 @@ def _closure(program: ProgramModel,
 
 
 def _worker_reach(program: ProgramModel, entry: str,
-                  groups: tuple["WorkerGroup", ...]
+                  groups: tuple[WorkerGroup, ...]
                   ) -> dict[str, tuple[str, ...]]:
     """Functions ``entry``'s own worker runs, one witness path each.
 
@@ -127,16 +123,16 @@ def _worker_reach(program: ProgramModel, entry: str,
     return paths
 
 
-def _runtime_mutable(ctx: Any, program: ProgramModel,
-                     groups: tuple["WorkerGroup", ...]) -> set[tuple[str, str]]:
+def _runtime_mutable(ctx: StaticContext, program: ProgramModel,
+                     groups: tuple[WorkerGroup, ...]) -> set[tuple[str, str]]:
     """Globals some function reachable from any analyzed root mutates.
 
-    Import-time registries (check tables, design families) are only
-    mutated by registration helpers no root reaches — excluding them
-    keeps S001 about state that actually changes while workers live.
+    A global only a function no root reaches mutates (a one-off setup
+    helper, say) is left out, which keeps S001 about state that
+    actually changes while workers live.
     """
-    roots = (*getattr(ctx, "determinism_roots", ()),
-             *getattr(ctx, "process_roots", ()),
+    roots = (*ctx.determinism_roots,
+             *ctx.process_roots,
              *(g.entry for g in groups),
              *(g.initializer for g in groups if g.initializer))
     mutable: set[tuple[str, str]] = set()
@@ -147,8 +143,7 @@ def _runtime_mutable(ctx: Any, program: ProgramModel,
     return mutable
 
 
-@register("S001", kind="static")
-def check_worker_globals(ctx: Any) -> Iterator[Diagnostic]:
+def check_worker_globals(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Worker-read mutable globals the pool initializer never resets."""
     bundle = _program_and_groups(ctx)
     if bundle is None:
@@ -289,13 +284,10 @@ def _type_expr_problems(program: ProgramModel, module: ModuleInfo,
                    f"state do not survive the process boundary")
 
 
-@register("S002", kind="static")
-def check_payload_types(ctx: Any) -> Iterator[Diagnostic]:
+def check_payload_types(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Payload dataclass fields that cannot cross the process boundary."""
-    program = getattr(ctx, "program", None)
-    if program is None:
-        return
-    for name in getattr(ctx, "payload_types", ()):
+    program = ctx.program
+    for name in ctx.payload_types:
         cls = program.classes.get(name)
         if cls is None:  # unknown payloads -> static-config
             continue
@@ -322,14 +314,13 @@ def check_payload_types(ctx: Any) -> Iterator[Diagnostic]:
                          "rebuild live objects on the worker side")
 
 
-@register("S003", kind="static")
-def check_env_seam(ctx: Any) -> Iterator[Diagnostic]:
+def check_env_seam(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Environment access outside the forwarded-variable seam."""
     bundle = _program_and_groups(ctx)
     if bundle is None:
         return
     program, groups = bundle
-    whitelist = set(getattr(ctx, "env_whitelist", ()))
+    whitelist = set(ctx.env_whitelist)
     seen: set[tuple[str, int, str]] = set()
 
     def emit(item: TransitiveOrigin, problem: str) -> Iterator[Diagnostic]:
@@ -382,8 +373,7 @@ def check_env_seam(ctx: Any) -> Iterator[Diagnostic]:
                           f"the forwarded whitelist")
 
 
-@register("S004", kind="static")
-def check_context_state(ctx: Any) -> Iterator[Diagnostic]:
+def check_context_state(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Context-local state accessed from a root that never installs it."""
     bundle = _program_and_groups(ctx)
     if bundle is None:
@@ -396,7 +386,7 @@ def check_context_state(ctx: Any) -> Iterator[Diagnostic]:
         entry_reach = _worker_reach(program, group.entry, groups)
         init_roots = (group.initializer,) if group.initializer else ()
         init_reach = _closure(program, init_roots)
-        for spec in getattr(ctx, "context_specs", ()):
+        for spec in ctx.context_specs:
             touched = [(a, entry_reach[a]) for a in spec.accessors
                        if a in entry_reach]
             if not touched:

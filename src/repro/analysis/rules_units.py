@@ -50,16 +50,14 @@ import ast
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Callable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.dimensions import (CONVERSION_LITERAL_VALUES,
                                        DimConfig, DimensionAnalysis,
                                        DimFinding)
-from repro.analysis.report import SUPPRESS_RE
+from repro.analysis.report import SUPPRESS_RE, StaticContext
 from repro.units import DIM_NAMES, Dim
 from repro.verify.diagnostics import Diagnostic, Severity
-from repro.verify.registry import register
 
 #: Q004 ratchet: the fraction of public unit-bearing signature slots
 #: that must carry a dimension annotation.
@@ -83,28 +81,22 @@ DEFAULT_TREES: Tuple[str, ...] = ("src", "tools", "benchmarks")
 # -- shared Q-analysis plumbing ----------------------------------------------
 
 
-def _dim_analysis(ctx: Any) -> Optional[DimensionAnalysis]:
+def _dim_analysis(ctx: StaticContext) -> DimensionAnalysis:
     """The (cached) whole-program dimension analysis for ``ctx``."""
-    program = getattr(ctx, "program", None)
-    if program is None:
-        return None
+    program = ctx.program
     cached = program.caches.get("dim_analysis")
     if not isinstance(cached, DimensionAnalysis):
         config = DimConfig(
-            manifest=dict(getattr(ctx, "dimensions_manifest", None) or {}),
-            unit_constants=dict(getattr(ctx, "unit_constants", None) or {}),
-            signature_roots=tuple(
-                getattr(ctx, "dim_signature_roots", None) or ()))
+            manifest=dict(ctx.dimensions_manifest),
+            unit_constants=dict(ctx.unit_constants),
+            signature_roots=tuple(ctx.dim_signature_roots))
         cached = DimensionAnalysis(program, config)
         program.caches["dim_analysis"] = cached
     return cached
 
 
-def _dim_findings(ctx: Any, code: str) -> List[DimFinding]:
-    analysis = _dim_analysis(ctx)
-    if analysis is None:
-        return []
-    return [f for f in analysis.findings
+def _dim_findings(ctx: StaticContext, code: str) -> List[DimFinding]:
+    return [f for f in _dim_analysis(ctx).findings
             if f.code == code and not ctx.suppressed(code, f.module,
                                                      f.lineno)]
 
@@ -125,40 +117,33 @@ def _as_diagnostic(finding: DimFinding) -> Diagnostic:
         hint=finding.hint)
 
 
-@register("Q001", kind="static")
-def check_dimension_mismatch(ctx: Any) -> Iterator[Diagnostic]:
+def check_dimension_mismatch(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Add/subtract/compare mixes two different concrete dimensions."""
     for finding in _dim_findings(ctx, "Q001"):
         yield _as_diagnostic(finding)
 
 
-@register("Q002", kind="static")
-def check_unnamed_conversion(ctx: Any) -> Iterator[Diagnostic]:
+def check_unnamed_conversion(ctx: StaticContext) -> Iterator[Diagnostic]:
     """A dimensioned value is scaled by a magic conversion literal."""
     for finding in _dim_findings(ctx, "Q002"):
         yield _as_diagnostic(finding)
 
 
-@register("Q003", kind="static")
-def check_call_dimension(ctx: Any) -> Iterator[Diagnostic]:
+def check_call_dimension(ctx: StaticContext) -> Iterator[Diagnostic]:
     """A call site passes a dimension the parameter contradicts."""
     for finding in _dim_findings(ctx, "Q003"):
         yield _as_diagnostic(finding)
 
 
-@register("Q005", kind="static")
-def check_manifest_field_use(ctx: Any) -> Iterator[Diagnostic]:
+def check_manifest_field_use(ctx: StaticContext) -> Iterator[Diagnostic]:
     """A DIMENSIONS-declared field is consumed under another dimension."""
     for finding in _dim_findings(ctx, "Q005"):
         yield _as_diagnostic(finding)
 
 
-@register("Q004", kind="static")
-def check_signature_coverage(ctx: Any) -> Iterator[Diagnostic]:
+def check_signature_coverage(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Public unit-bearing signatures carry dimension annotations."""
     analysis = _dim_analysis(ctx)
-    if analysis is None:
-        return
     total = analysis.covered + len(analysis.gaps)
     if total == 0:
         return
@@ -255,11 +240,9 @@ def _scan_tree(tree: ast.AST, *, exempt_conversions: bool,
                    f"[suppress: # static: ok[U002] <why>]")
 
 
-def _unit_hygiene(ctx: Any) -> List[Tuple[str, int, int, str, str]]:
+def _unit_hygiene(ctx: StaticContext) -> List[Tuple[str, int, int, str, str]]:
     """(module, lineno, col, rule, message) hits across the program."""
-    program = getattr(ctx, "program", None)
-    if program is None:
-        return []
+    program = ctx.program
     cached = program.caches.get("unit_hygiene")
     if not isinstance(cached, list):
         cached = []
@@ -282,7 +265,7 @@ def _unit_hygiene(ctx: Any) -> List[Tuple[str, int, int, str, str]]:
     return cached
 
 
-def _hygiene_diagnostics(ctx: Any, rule: str) -> Iterator[Diagnostic]:
+def _hygiene_diagnostics(ctx: StaticContext, rule: str) -> Iterator[Diagnostic]:
     for module, lineno, _col, hit_rule, message in _unit_hygiene(ctx):
         if hit_rule == rule and not ctx.suppressed(rule, module, lineno):
             yield Diagnostic(
@@ -291,14 +274,12 @@ def _hygiene_diagnostics(ctx: Any, rule: str) -> Iterator[Diagnostic]:
                 hint="see the U-code catalogue in docs/VERIFY.md")
 
 
-@register("U001", kind="static")
-def check_float_equality(ctx: Any) -> Iterator[Diagnostic]:
+def check_float_equality(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Float-literal equality on physical quantities."""
     yield from _hygiene_diagnostics(ctx, "U001")
 
 
-@register("U002", kind="static")
-def check_conversion_literal(ctx: Any) -> Iterator[Diagnostic]:
+def check_conversion_literal(ctx: StaticContext) -> Iterator[Diagnostic]:
     """Magic 1000.0/0.001 conversion constants outside repro.units."""
     yield from _hygiene_diagnostics(ctx, "U002")
 
@@ -365,9 +346,7 @@ def lint_paths(paths: Sequence[Path]) -> List[Finding]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Standalone CLI over :func:`lint_paths`; exit 1 on hits.
 
-    Run it as ``python -c "import sys; from repro.analysis.rules_units
-    import main; sys.exit(main())"``.  Not as ``python -m``: executing
-    this module as ``__main__`` would register its checks a second time.
+    Run it as ``python -m repro.analysis.rules_units [paths]``.
     """
     parser = argparse.ArgumentParser(
         description="unit-hygiene linter (U001 float-literal equality, "
@@ -386,3 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,6 +44,7 @@ from typing import Any, ClassVar, Optional, Union
 from repro.core import Policy, run_flow
 from repro.runner import FlowRunner, JobResult, JobSpec
 from repro.tech import Technology, default_technology
+from repro.verify import flow_checks, verify_flow
 
 __all__ = [
     "CellReport",
@@ -330,6 +331,7 @@ class LintRequest(_RequestBase):
 
     def __post_init__(self) -> None:
         _policy_name(self.policy)
+        flow_checks(self.kinds or None)  # a kind no flow check has raises
         if self.codes and not self.static:
             raise ValueError("codes= filtering is only for static=True")
         if not self.static and not self.design:
@@ -482,16 +484,15 @@ def lint(request: LintRequest, *, tech: Optional[Technology] = None) -> Any:
     if not isinstance(request, LintRequest):
         raise TypeError("lint() takes a LintRequest, e.g. "
                         "lint(LintRequest(design='ckt64'))")
-    import repro.analysis  # registers the static D/C checks
-
     if request.static:
+        import repro.analysis
+
         ctx = repro.analysis.build_static_context(
             list(request.paths) if request.paths else None)
         return repro.analysis.analyze_program(
             ctx, codes=list(request.codes) if request.codes else None)
     from repro.core.targets import RobustnessTargets
     from repro.runner import resolve_design
-    from repro.verify import VerifyContext, run_checks
 
     resolved_tech = tech if tech is not None else default_technology()
     design_obj = resolve_design(request.design)
@@ -499,8 +500,7 @@ def lint(request: LintRequest, *, tech: Optional[Technology] = None) -> Any:
                                            resolved_tech.max_slew)
     flow = run_flow(design_obj, resolved_tech,
                     policy=Policy(request.policy), targets=targets)
-    return run_checks(VerifyContext.from_flow(flow),
-                      kinds=list(request.kinds) if request.kinds else None)
+    return verify_flow(flow, kinds=request.kinds or None)
 
 
 def execute(request: Any, *, jobs: int = 1, store: Any = True,

@@ -16,7 +16,7 @@ Subcommands::
     python -m repro lint --static --codes 'Q*' --json  # one rule family only
     python -m repro trace trace.jsonl [--top N]        # render a trace file
     python -m repro serve [--port P] [--workers N]     # the flow-service daemon
-    python -m repro store stats [--json]               # artifact cache counters
+    python -m repro store stats [--json]               # artifacts and bytes on disk
     python -m repro store gc [--max-bytes N]           # LRU-evict to a budget
 
 ``run``/``compare``/``sweep``/``lint`` parse their flags into the same
@@ -382,12 +382,14 @@ def cmd_lint(args) -> int:
     root given as a positional path (``repro lint --static src/repro``).
     """
     from repro.api import lint
-    from repro.verify import registered_checks
 
     if args.list_checks:
-        import repro.analysis  # registers the static D/C checks
+        from repro.analysis import STATIC_CHECKS
+        from repro.designs.importer import IMPORT_CHECKS
+        from repro.verify import FLOW_CHECKS
 
-        for check in registered_checks():
+        for check in sorted((*FLOW_CHECKS, *STATIC_CHECKS, *IMPORT_CHECKS),
+                            key=lambda c: c.rule):
             print(f"{check.rule:22s} [{check.kind:6s}] {check.doc}")
         return 0
     if args.static:
@@ -411,8 +413,13 @@ def cmd_lint(args) -> int:
         if args.checks != "all":
             kinds = tuple(k.strip() for k in args.checks.split(",")
                           if k.strip())
-        report = lint(LintRequest(design=args.design, policy=args.policy,
-                                  kinds=kinds))
+        try:
+            request = LintRequest(design=args.design, policy=args.policy,
+                                  kinds=kinds)
+        except ValueError as exc:
+            print(f"lint: {exc}", file=sys.stderr)
+            return 2
+        report = lint(request)
     if args.json:
         print(report.to_json())
     else:
@@ -623,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated check kinds (drc,oracle) "
                              "or 'all'")
     p_lint.add_argument("--list-checks", action="store_true",
-                        help="list registered checks and exit")
+                        help="list every check and exit")
     p_lint.add_argument("--codes", default="",
                         help="with --static: comma-separated fnmatch "
                              "patterns over rule ids (e.g. 'Q*' for the "
@@ -665,7 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_store = sub.add_parser(
         "store", help="inspect or GC the shared artifact cache")
     ssub = p_store.add_subparsers(dest="store_command", required=True)
-    s_stats = ssub.add_parser("stats", help="print cache-tier counters")
+    s_stats = ssub.add_parser("stats",
+                              help="print the artifact count and bytes on "
+                                   "disk")
     s_stats.add_argument("--store", default="",
                          help="store root (default: the per-user cache)")
     add_common_opts(s_stats)

@@ -1,6 +1,6 @@
-"""The built-in design corpus: registered families.
+"""The design corpus: one constant table of named families.
 
-Four families ship with the package:
+Four families ship with the package, in this order (:data:`FAMILIES`):
 
 * ``synthetic`` — the legacy ``ckt*`` suite (Table 1) plus the macro
   variants and the scaling rungs.  Every spec pins ``seed_salt`` to
@@ -17,8 +17,23 @@ Four families ship with the package:
 
 from __future__ import annotations
 
-from repro.designs.registry import register_design_family
+from dataclasses import dataclass
+
 from repro.designs.spec import DesignSpec
+
+
+@dataclass(frozen=True)
+class DesignFamily:
+    """One named, documented group of corpus designs."""
+
+    name: str
+    description: str
+    specs: tuple[DesignSpec, ...]
+
+    def __post_init__(self) -> None:
+        if not self.specs:
+            raise ValueError(f"family {self.name!r} has no specs")
+
 
 #: The six-design suite every table iterates over (Table 1 reports it).
 _SUITE: tuple[DesignSpec, ...] = (
@@ -81,24 +96,25 @@ _IMPORTED: tuple[DesignSpec, ...] = (
 )
 
 
-def register_builtin_families() -> None:
-    """Register the shipped corpus (idempotence is the caller's job)."""
-    register_design_family(
+#: The whole corpus, in listing order; design names are corpus-unique.
+FAMILIES: tuple[DesignFamily, ...] = (
+    DesignFamily(
         "synthetic",
         "legacy ckt* suite: clustered sinks, flat aggressor traffic",
-        _SUITE + _EXTRA)
-    register_design_family(
+        _SUITE + _EXTRA),
+    DesignFamily(
         "hierarchical",
         "center-driven H-tree SoCs with block-local subtrees",
-        _HIERARCHICAL)
-    register_design_family(
+        _HIERARCHICAL),
+    DesignFamily(
         "gated",
         "multi-domain SoCs with gated quiet domains and hotspot/edge traffic",
-        _GATED)
-    register_design_family(
+        _GATED),
+    DesignFamily(
         "imported",
         "DEF-lite JSON floorplans built through the validating importer",
-        _IMPORTED)
+        _IMPORTED),
+)
 
 
 def benchmark_suite() -> tuple[DesignSpec, ...]:

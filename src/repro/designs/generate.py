@@ -2,9 +2,8 @@
 
 Each :class:`~repro.designs.spec.DesignSpec` names its generator;
 :func:`generate_design` seeds the RNG from the spec (salt from
-``seed_salt``, never from the display name of a registered spec),
-builds the empty die, and hands off to the registered generator
-function.  ``"imported"`` is special: the design comes from the spec's
+``seed_salt``, never from the display name of a corpus spec),
+builds the empty die, and hands off to its generator function.  ``"imported"`` is special: the design comes from the spec's
 DEF-lite source file instead of a seeded construction.
 """
 
@@ -31,7 +30,7 @@ _GENERATORS: dict[str, GeneratorFn] = {
 
 def generator_names() -> tuple[str, ...]:
     """Every usable ``DesignSpec.generator`` value, sorted."""
-    return tuple(sorted(_GENERATORS)) + ("imported",)  # static: ok[C003] populated at import time
+    return tuple(sorted(_GENERATORS)) + ("imported",)
 
 
 def generate_design(spec: DesignSpec) -> Design:
@@ -44,7 +43,7 @@ def generate_design(spec: DesignSpec) -> Design:
     if spec.n_sinks < 1:
         raise ValueError("need at least one sink")
     try:
-        generator = _GENERATORS[spec.generator]  # static: ok[C003] populated at import time
+        generator = _GENERATORS[spec.generator]
     except KeyError:
         raise KeyError(f"spec {spec.name!r} names unknown generator "
                        f"{spec.generator!r}; "

@@ -6,8 +6,8 @@ into the corpus without a full DEF/LEF parser: a die box, the clock
 switching activities (optionally windows).  Everything is plain JSON in
 um/ps/fF.
 
-Schema validation runs through the existing verifier check registry
-(:mod:`repro.verify.registry`) as ``kind="import"`` checks: each rule
+Schema validation runs the :data:`IMPORT_CHECKS` family through the
+verifier's shared runner (:mod:`repro.verify.registry`): each rule
 yields typed :class:`~repro.verify.diagnostics.Diagnostic` records, so
 ``repro designs validate`` renders findings exactly like ``repro
 lint``, and :func:`import_design` raises
@@ -47,7 +47,7 @@ from repro.netlist.design import Design
 from repro.netlist.net import NetKind
 from repro.verify.diagnostics import (Diagnostic, Severity,
                                       VerificationError, VerifyReport)
-from repro.verify.registry import register, run_checks
+from repro.verify.registry import Check, run_family
 
 #: Supported DEF-lite schema version.
 DEFLITE_SCHEMA = 1
@@ -58,7 +58,7 @@ DEFAULT_LOAD_FF = 1.2
 
 @dataclass(frozen=True)
 class ImportContext:
-    """What the ``kind="import"`` checks inspect: the parsed document."""
+    """What the import checks inspect: the parsed document."""
 
     data: dict[str, Any]
     path: Optional[Path] = None
@@ -76,11 +76,8 @@ def _is_box(value: Any) -> bool:
                     for v in value))
 
 
-@register("import-schema", kind="import")
-def check_deflite_schema(ctx: Any) -> Iterator[Diagnostic]:
+def check_deflite_schema(ctx: ImportContext) -> Iterator[Diagnostic]:
     """DEF-lite document structure: version, required keys, field types."""
-    if not isinstance(ctx, ImportContext):
-        return
     data = ctx.data
     version = data.get("deflite")
     if version != DEFLITE_SCHEMA:
@@ -132,11 +129,8 @@ def check_deflite_schema(ctx: Any) -> Iterator[Diagnostic]:
                                      '"driver_xy" and non-empty "sink_xys"')
 
 
-@register("import-geometry", kind="import")
-def check_deflite_geometry(ctx: Any) -> Iterator[Diagnostic]:
+def check_deflite_geometry(ctx: ImportContext) -> Iterator[Diagnostic]:
     """Geometric sanity: everything on the die, nothing inside a macro."""
-    if not isinstance(ctx, ImportContext):
-        return
     data = ctx.data
     if not _is_box(data.get("die")):
         return  # import-schema already reported it
@@ -199,11 +193,8 @@ def check_deflite_geometry(ctx: Any) -> Iterator[Diagnostic]:
                                              f"or inside a blockage")
 
 
-@register("import-electrical", kind="import")
-def check_deflite_electrical(ctx: Any) -> Iterator[Diagnostic]:
+def check_deflite_electrical(ctx: ImportContext) -> Iterator[Diagnostic]:
     """Electrical sanity: caps, period, activities, switching windows."""
-    if not isinstance(ctx, ImportContext):
-        return
     data = ctx.data
     clock = data.get("clock", {})
     period = clock.get("period_ps") if isinstance(clock, dict) else None
@@ -249,11 +240,8 @@ def check_deflite_electrical(ctx: Any) -> Iterator[Diagnostic]:
                                          f"the clock period ({period} ps)")
 
 
-@register("import-names", kind="import")
-def check_deflite_names(ctx: Any) -> Iterator[Diagnostic]:
+def check_deflite_names(ctx: ImportContext) -> Iterator[Diagnostic]:
     """Name uniqueness: duplicate pins or nets would collide on import."""
-    if not isinstance(ctx, ImportContext):
-        return
     data = ctx.data
     seen: set[str] = set()
     for i, pin in enumerate(data.get("pins", [])):
@@ -275,6 +263,15 @@ def check_deflite_names(ctx: Any) -> Iterator[Diagnostic]:
             nets.add(name)
 
 
+#: The DEF-lite document checks :func:`validate_deflite` runs.
+IMPORT_CHECKS: tuple[Check[ImportContext], ...] = (
+    Check("import-schema", "import", check_deflite_schema),
+    Check("import-geometry", "import", check_deflite_geometry),
+    Check("import-electrical", "import", check_deflite_electrical),
+    Check("import-names", "import", check_deflite_names),
+)
+
+
 def load_deflite(path: Union[str, Path]) -> dict[str, Any]:
     """Parse a DEF-lite JSON file (malformed JSON raises ValueError)."""
     try:
@@ -288,12 +285,11 @@ def load_deflite(path: Union[str, Path]) -> dict[str, Any]:
 
 def validate_deflite(data: Union[dict[str, Any], str, Path],
                      path: Optional[Path] = None) -> VerifyReport:
-    """Run every ``kind="import"`` check over a document (or file)."""
+    """Run every import check over a document (or file)."""
     if not isinstance(data, dict):
         path = Path(data)
         data = load_deflite(path)
-    ctx = ImportContext(data=data, path=path)
-    return run_checks(ctx, kinds=["import"])  # type: ignore[arg-type]
+    return run_family(ImportContext(data=data, path=path), IMPORT_CHECKS)
 
 
 def deflite_to_design(data: dict[str, Any],

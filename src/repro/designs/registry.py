@@ -1,10 +1,10 @@
-"""The corpus registry: named design families and corpus selectors.
+"""Corpus lookups: named design families and corpus selectors.
 
 A *family* is a named, documented tuple of
-:class:`~repro.designs.spec.DesignSpec` — the unit the suite, the ML
-corpus and the CLI select over.  Families register once at import time
-(:mod:`repro.designs` registers the built-ins); downstream packages may
-add their own with :func:`register_design_family`.
+:class:`~repro.designs.spec.DesignSpec` — the unit the suite and the
+CLI select over.  The families are the constant table
+:data:`repro.designs.corpus.FAMILIES`; this module indexes it once, at
+import, and every lookup reads that table.
 
 Selectors accepted by :func:`resolve_selectors`:
 
@@ -20,103 +20,73 @@ from __future__ import annotations
 
 import difflib
 import fnmatch
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from repro.designs.corpus import FAMILIES, DesignFamily
 from repro.designs.spec import DesignSpec
 
-
-@dataclass(frozen=True)
-class DesignFamily:
-    """One named, documented group of corpus designs."""
-
-    name: str
-    description: str
-    specs: tuple[DesignSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.specs:
-            raise ValueError(f"family {self.name!r} has no specs")
-
-
-_FAMILIES: dict[str, DesignFamily] = {}
-_SPECS: dict[str, DesignSpec] = {}
-
-
-def register_design_family(name: str, description: str,
-                           specs: Iterable[DesignSpec]) -> DesignFamily:
-    """Register a family; design names must be corpus-unique."""
-    if name in _FAMILIES:
-        raise ValueError(f"design family {name!r} registered twice")
-    family = DesignFamily(name=name, description=description,
-                          specs=tuple(specs))
-    clashes = [s.name for s in family.specs if s.name in _SPECS]
-    if clashes:
-        raise ValueError(f"design name(s) {clashes} already registered "
-                         f"(family {name!r})")
-    _FAMILIES[name] = family
-    for spec in family.specs:
-        _SPECS[spec.name] = spec
-    return family
+#: Design name -> spec, family-ordered; built once from the table.
+_BY_NAME: dict[str, DesignSpec] = {
+    spec.name: spec for fam in FAMILIES for spec in fam.specs}
 
 
 def families() -> tuple[DesignFamily, ...]:
-    """Every registered family, registration-ordered."""
-    return tuple(_FAMILIES.values())  # static: ok[C003] populated at import time
+    """Every family, in table order."""
+    return FAMILIES
 
 
 def family(name: str) -> DesignFamily:
     """Look up one family by name."""
-    try:
-        return _FAMILIES[name]  # static: ok[C003] populated at import time
-    except KeyError:
-        raise KeyError(f"no design family named {name!r}; available: "
-                       f"{sorted(_FAMILIES)}") from None
+    for fam in FAMILIES:
+        if fam.name == name:
+            return fam
+    raise KeyError(f"no design family named {name!r}; available: "
+                   f"{sorted(fam.name for fam in FAMILIES)}")
 
 
 def iter_specs() -> Iterator[DesignSpec]:
-    """Every registered spec, family-registration-ordered."""
-    for fam in families():
+    """Every corpus spec, family-ordered."""
+    for fam in FAMILIES:
         yield from fam.specs
 
 
 def spec_names() -> tuple[str, ...]:
-    """Every registered design name, family-registration-ordered."""
-    return tuple(_SPECS)  # static: ok[C003] populated at import time
+    """Every corpus design name, family-ordered."""
+    return tuple(_BY_NAME)
 
 
 def family_of(design_name: str) -> str:
-    """The family a registered design belongs to."""
-    for fam in families():
+    """The family a corpus design belongs to."""
+    for fam in FAMILIES:
         if any(s.name == design_name for s in fam.specs):
             return fam.name
     raise KeyError(f"design {design_name!r} is not registered")
 
 
 def spec_by_name(name: str) -> DesignSpec:
-    """Look up a registered spec by design name.
+    """Look up a corpus spec by design name.
 
     An unknown name raises a KeyError that lists close matches and the
     available families, so a typo'd ``ckt258`` points at ``ckt256``
     instead of a bare miss.
     """
-    spec = _SPECS.get(name)  # static: ok[C003] populated at import time
+    spec = _BY_NAME.get(name)
     if spec is not None:
         return spec
-    close = difflib.get_close_matches(name, list(_SPECS), n=3, cutoff=0.5)  # static: ok[C003] populated at import time
+    close = difflib.get_close_matches(name, list(_BY_NAME), n=3, cutoff=0.5)
     lines = [f"no design named {name!r}"]
     if close:
         lines.append(f"did you mean: {', '.join(close)}?")
     lines.append("families: " + "; ".join(
         f"{fam.name} ({', '.join(s.name for s in fam.specs)})"
-        for fam in families()))
+        for fam in FAMILIES))
     raise KeyError(". ".join(lines))
 
 
 def resolve_selectors(selectors: Iterable[str]) -> tuple[str, ...]:
     """Expand corpus selectors into concrete design names.
 
-    Order follows the selector list, then registry order within each
+    Order follows the selector list, then table order within each
     selector; duplicates are dropped (first win).  A selector matching
     nothing is an error — silent empties hide typos.
     """
@@ -134,17 +104,18 @@ def resolve_selectors(selectors: Iterable[str]) -> tuple[str, ...]:
             continue
         if selector.startswith("family:"):
             pattern = selector[len("family:"):]
-            matched = [f for f in families()
+            matched = [f for f in FAMILIES
                        if fnmatch.fnmatchcase(f.name, pattern)]
             if not matched:
                 raise KeyError(f"selector {selector!r} matches no family; "
-                               f"available: {sorted(_FAMILIES)}")
+                               f"available: "
+                               f"{sorted(fam.name for fam in FAMILIES)}")
             for fam in matched:
                 for spec in fam.specs:
                     add(spec.name)
             continue
         if any(ch in selector for ch in "*?["):
-            matched_names = [n for n in _SPECS  # static: ok[C003] populated at import time
+            matched_names = [n for n in _BY_NAME
                              if fnmatch.fnmatchcase(n, selector)]
             if not matched_names:
                 raise KeyError(f"selector {selector!r} matches no "

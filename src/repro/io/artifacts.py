@@ -225,10 +225,6 @@ class ArtifactStore:
                  max_disk_bytes: Optional[int] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.max_disk_bytes = max_disk_bytes
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.evicted_bytes = 0
 
     # -- paths ---------------------------------------------------------------
 
@@ -261,7 +257,6 @@ class ArtifactStore:
         try:
             blob = path.read_bytes()
         except OSError:
-            self.misses += 1
             obs.counter("artifacts.misses").inc()
             return None
         # Every hit refreshes recency, so gc never evicts the hottest
@@ -273,11 +268,9 @@ class ArtifactStore:
             # Truncated write or stale class layout: treat as a miss and
             # drop the poisoned entry so the rebuild can overwrite it.
             self.discard(key)
-            self.misses += 1
             obs.counter("artifacts.corruptions").inc()
             obs.counter("artifacts.misses").inc()
             return None
-        self.hits += 1
         obs.counter("artifacts.hits").inc()
         obs.counter("artifacts.load_bytes").inc(len(blob))
         return obj
@@ -331,8 +324,6 @@ class ArtifactStore:
                 total -= size
                 evicted += 1
                 evicted_bytes += size
-        self.evictions += evicted
-        self.evicted_bytes += evicted_bytes
         obs.counter("artifacts.evictions").inc(evicted)
         obs.counter("artifacts.evicted_bytes").inc(evicted_bytes)
         obs.gauge("artifacts.disk_bytes").set(float(total))
@@ -350,10 +341,11 @@ class ArtifactStore:
             pass
 
     def stats(self) -> dict[str, int]:
-        """Cache-tier counters (per-store-instance, this process only)."""
+        """What the store holds on disk: artifact count and bytes.
+
+        Hits, misses and evictions are the ``artifacts.*`` obs counters
+        of whichever tracer is active (``/v1/metrics`` on a daemon).
+        """
         entries = self.disk_entries()
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
-                "evicted_bytes": self.evicted_bytes,
-                "disk_entries": len(entries),
+        return {"disk_entries": len(entries),
                 "disk_bytes": sum(size for _, _, size, _ in entries)}

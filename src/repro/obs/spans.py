@@ -79,13 +79,13 @@ class Tracer:
         self.records: list[SpanRecord] = []
         self.metrics = MetricsRegistry()
         self._next_id = 1
-        self._origin = _CLOCK()  # static: ok[D002] span timing is trace metadata, never artifact content
+        self._origin = _CLOCK()
 
     # -- recording -----------------------------------------------------------
 
     def elapsed(self) -> float:
         """Seconds of monotonic time since this trace started."""
-        return _CLOCK() - self._origin  # static: ok[D002] span timing is trace metadata, never artifact content
+        return _CLOCK() - self._origin
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[SpanRecord]:
@@ -180,7 +180,7 @@ def enable(name: str = "session") -> Tracer:
     """Install (or return the already-installed) process tracer."""
     global _TRACER
     if _TRACER is None:
-        _TRACER = Tracer(name)  # static: ok[D004] process-local tracing slot; spans are metadata, never artifact content
+        _TRACER = Tracer(name)
     return _TRACER
 
 

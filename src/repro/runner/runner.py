@@ -88,7 +88,6 @@ class JobResult:
     job: JobSpec
     summary: dict[str, float]
     rule_histogram: dict[str, int]
-    ndr_track_cost: float
     feasible: bool
     runtime: float
     cached: bool = False
@@ -112,7 +111,6 @@ class CellRecord:
     #: ``FlowResult.summary()`` without its ``"feasible"`` entry
     measurements: dict[str, float]
     rule_histogram: dict[str, int]
-    ndr_track_cost: float
 
     @classmethod
     def of(cls, flow: FlowResult) -> "CellRecord":
@@ -120,8 +118,7 @@ class CellRecord:
         measurements = flow.summary()
         del measurements["feasible"]
         return cls(measurements=measurements,
-                   rule_histogram=dict(flow.rule_histogram),
-                   ndr_track_cost=flow.ndr_track_cost)
+                   rule_histogram=dict(flow.rule_histogram))
 
     def judged(self, targets: RobustnessTargets
                ) -> tuple[dict[str, float], bool]:
@@ -280,7 +277,6 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
         job=job,
         summary=summary,
         rule_histogram=dict(record.rule_histogram),
-        ndr_track_cost=record.ndr_track_cost,
         feasible=feasible,
         runtime=time.perf_counter() - start,  # static: ok[D002] feeds JobResult.runtime metadata only
         cached=cached,

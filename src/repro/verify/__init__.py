@@ -2,9 +2,11 @@
 
 The package checks already-built state — routed geometry, the RC
 network, the incremental engine's caches — without re-running any
-analysis, and reports typed :class:`Diagnostic` records through a
-check registry.  See ``docs/VERIFY.md`` for the rule catalogue, the
-severity policy, and how to add a check.
+analysis, and reports typed :class:`Diagnostic` records.  A flow is
+verified by exactly :data:`FLOW_CHECKS`: the ``drc`` tuple of
+:mod:`repro.verify.drc` and the ``oracle`` tuple of
+:mod:`repro.verify.oracle`.  See ``docs/VERIFY.md`` for the rule
+catalogue, the severity policy, and how to add a check.
 
 Entry points
 ------------
@@ -22,13 +24,9 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from repro.verify.context import VerifyContext
 from repro.verify.diagnostics import (Diagnostic, Severity,
                                       VerificationError, VerifyReport)
-from repro.verify.registry import (Check, register, registered_checks,
-                                   run_checks)
-
-# Importing the check modules registers every rule; keep these after the
-# registry import (they decorate into it).
-from repro.verify import drc as _drc          # noqa: E402,F401
-from repro.verify import oracle as _oracle    # noqa: E402,F401
+from repro.verify.drc import DRC_CHECKS
+from repro.verify.oracle import ORACLE_CHECKS
+from repro.verify.registry import Check, run_family
 
 if TYPE_CHECKING:
     from repro.core.flow import FlowResult, PhysicalDesign
@@ -36,17 +34,53 @@ if TYPE_CHECKING:
 __all__ = [
     "Check",
     "Diagnostic",
+    "FLOW_CHECKS",
+    "FLOW_KINDS",
     "Severity",
     "VerificationError",
     "VerifyContext",
     "VerifyReport",
     "assert_flow_clean",
-    "register",
-    "registered_checks",
+    "flow_checks",
     "run_checks",
     "verify_flow",
     "verify_physical",
 ]
+
+#: Every check a flow is verified by.
+FLOW_CHECKS: tuple[Check[VerifyContext], ...] = DRC_CHECKS + ORACLE_CHECKS
+
+#: The kinds ``kinds=`` (``repro lint --checks``) selects among.
+FLOW_KINDS: tuple[str, ...] = ("drc", "oracle")
+
+
+def flow_checks(kinds: Optional[Iterable[str]]
+                ) -> tuple[Check[VerifyContext], ...]:
+    """The flow checks of ``kinds`` (all of them when None).
+
+    A kind no flow check has raises :class:`ValueError`: a typo must
+    not verify nothing and pass.
+    """
+    if kinds is None:
+        return FLOW_CHECKS
+    wanted = set(kinds)
+    unknown = wanted - set(FLOW_KINDS)
+    if unknown:
+        raise ValueError(f"unknown check kind(s) {sorted(unknown)}; flow "
+                         f"check kinds are {' and '.join(FLOW_KINDS)}")
+    return tuple(c for c in FLOW_CHECKS if c.kind in wanted)
+
+
+def run_checks(ctx: VerifyContext,
+               rules: Optional[Iterable[str]] = None,
+               kinds: Optional[Iterable[str]] = None) -> VerifyReport:
+    """Run the flow checks over ``ctx`` and collect the report.
+
+    ``rules`` selects specific rule ids; ``kinds`` selects whole
+    families (``drc``, ``oracle``).  With neither, every flow check
+    runs.
+    """
+    return run_family(ctx, flow_checks(kinds), rules)
 
 
 def verify_flow(flow: "FlowResult",

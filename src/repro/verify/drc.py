@@ -15,7 +15,7 @@ from repro.reliability.em import analyze_em
 from repro.route.wires import RoutedWire
 from repro.verify.context import VerifyContext
 from repro.verify.diagnostics import Diagnostic, Severity
-from repro.verify.registry import register
+from repro.verify.registry import Check
 
 #: Relative tolerance for float identities that hold exactly by
 #: construction (same arithmetic, possibly different summation order).
@@ -27,7 +27,6 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
-@register("track-overlap", kind="drc")
 def check_track_overlap(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """No two wires may occupy overlapping spans of the same track.
 
@@ -87,7 +86,6 @@ def check_track_overlap(ctx: VerifyContext) -> Iterator[Diagnostic]:
             "congestion: enlarge the die or the search window")
 
 
-@register("blockage-overlap", kind="drc")
 def check_blockage_overlap(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """No wire may cross a hard keep-out span on its own track."""
     tracks = ctx.routing.tracks
@@ -108,7 +106,6 @@ def check_blockage_overlap(ctx: VerifyContext) -> Iterator[Diagnostic]:
                          "around blockages before placement")
 
 
-@register("shield-continuity", kind="drc")
 def check_shield_continuity(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Shielded wires need both adjacent tracks available for shields.
 
@@ -165,7 +162,6 @@ def check_shield_continuity(ctx: VerifyContext) -> Iterator[Diagnostic]:
                          "under-modelled over the gap")
 
 
-@register("ndr-spacing", kind="drc")
 def check_ndr_spacing(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Spacing-NDR wires whose guarantee the literal geometry breaks.
 
@@ -214,7 +210,6 @@ def check_ndr_spacing(ctx: VerifyContext) -> Iterator[Diagnostic]:
                                  "the guarantee; geometry does not move")
 
 
-@register("rc-topology", kind="drc")
 def check_rc_topology(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Each stage is a rooted tree; the stage graph is a rooted tree too.
 
@@ -303,7 +298,6 @@ def check_rc_topology(ctx: VerifyContext) -> Iterator[Diagnostic]:
                      "every analysis")
 
 
-@register("rc-values", kind="drc")
 def check_rc_values(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """R/C entries must be physical: no negative values, wires resistive.
 
@@ -345,7 +339,6 @@ def check_rc_values(ctx: VerifyContext) -> Iterator[Diagnostic]:
                         stage=stage_idx, node=node.idx, wire_id=wid)
 
 
-@register("rc-wire-sites", kind="drc")
 def check_rc_wire_sites(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Clock wires, RC nodes, and parasitics must correspond one-to-one.
 
@@ -396,7 +389,6 @@ def check_rc_wire_sites(ctx: VerifyContext) -> Iterator[Diagnostic]:
             wire_id=wire_id)
 
 
-@register("em-width", kind="drc")
 def check_em_width(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Width floors: drawn width >= layer minimum; EM budgets respected.
 
@@ -427,7 +419,6 @@ def check_em_width(ctx: VerifyContext) -> Iterator[Diagnostic]:
             hint="widen the wire or re-synthesize with smaller stages")
 
 
-@register("delay-sanity", kind="drc")
 def check_delay_sanity(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Per-sink stage Elmore delays must be non-negative and sub-cycle.
 
@@ -459,7 +450,6 @@ def check_delay_sanity(ctx: VerifyContext) -> Iterator[Diagnostic]:
                          "library's coherent system")
 
 
-@register("coupling-sanity", kind="drc")
 def check_coupling_sanity(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Per-wire parasitics must be internally consistent.
 
@@ -515,3 +505,18 @@ def check_coupling_sanity(ctx: VerifyContext) -> Iterator[Diagnostic]:
                 wire_id=wire_id,
                 hint="stale extraction: the shield assignment was not "
                      "propagated")
+
+
+#: The ``"drc"`` flow checks, one per rule.
+DRC_CHECKS: tuple[Check[VerifyContext], ...] = (
+    Check("track-overlap", "drc", check_track_overlap),
+    Check("blockage-overlap", "drc", check_blockage_overlap),
+    Check("shield-continuity", "drc", check_shield_continuity),
+    Check("ndr-spacing", "drc", check_ndr_spacing),
+    Check("rc-topology", "drc", check_rc_topology),
+    Check("rc-values", "drc", check_rc_values),
+    Check("rc-wire-sites", "drc", check_rc_wire_sites),
+    Check("em-width", "drc", check_em_width),
+    Check("delay-sanity", "drc", check_delay_sanity),
+    Check("coupling-sanity", "drc", check_coupling_sanity),
+)

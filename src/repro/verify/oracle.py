@@ -27,7 +27,7 @@ from repro.tech.ndr import rule_by_name
 from repro.timing.montecarlo import wire_variation_factors
 from repro.verify.context import VerifyContext
 from repro.verify.diagnostics import Diagnostic, Severity
-from repro.verify.registry import register
+from repro.verify.registry import Check
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -49,7 +49,6 @@ def _para_diffs(stored: WireParasitics,
                f"{len(fresh.couplings)}")
 
 
-@register("cap-totals", kind="oracle")
 def check_cap_totals(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Cached switched/coupling cap totals equal a from-scratch sum.
 
@@ -80,7 +79,6 @@ def check_cap_totals(ctx: VerifyContext) -> Iterator[Diagnostic]:
                 hint="a set_wire path skipped the cache invalidation")
 
 
-@register("network-rc-sync", kind="oracle")
 def check_network_rc_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """The patched RC network mirrors the parasitics store exactly.
 
@@ -123,7 +121,6 @@ def check_network_rc_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
                              "re-extraction")
 
 
-@register("extraction-fresh", kind="oracle")
 def check_extraction_fresh(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Stored parasitics equal a fresh extraction of today's geometry.
 
@@ -149,7 +146,6 @@ def check_extraction_fresh(ctx: VerifyContext) -> Iterator[Diagnostic]:
                      "(skipped dirty bit)")
 
 
-@register("neighbor-index-sync", kind="oracle")
 def check_neighbor_index_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """The neighbor dependency index matches live neighbor queries.
 
@@ -192,7 +188,6 @@ def check_neighbor_index_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
                 hint="forward and reverse maps were updated out of step")
 
 
-@register("kernel-sync", kind="oracle")
 def check_kernel_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """The compiled kernel equals a fresh compile of today's network.
 
@@ -256,7 +251,6 @@ def check_kernel_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
                     hint="topology changed without recompile_stage")
 
 
-@register("frozen-mc-sync", kind="oracle")
 def check_frozen_mc_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Frozen Monte-Carlo factors equal a recompute from frozen draws.
 
@@ -308,7 +302,6 @@ def check_frozen_mc_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
                          "width moved")
 
 
-@register("sens-cache-sync", kind="oracle")
 def check_sens_cache_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Live sensitivity-cache entries equal a fresh what-if extraction.
 
@@ -339,8 +332,13 @@ def check_sens_cache_sync(ctx: VerifyContext) -> Iterator[Diagnostic]:
                      "dependency of single-wire extraction")
 
 
-#: Re-exported for callers iterating oracle ids without the registry.
-ORACLE_RULES: tuple[str, ...] = (
-    "cap-totals", "network-rc-sync", "extraction-fresh",
-    "neighbor-index-sync", "kernel-sync", "frozen-mc-sync",
-    "sens-cache-sync")
+#: The ``"oracle"`` flow checks, one per rule.
+ORACLE_CHECKS: tuple[Check[VerifyContext], ...] = (
+    Check("cap-totals", "oracle", check_cap_totals),
+    Check("network-rc-sync", "oracle", check_network_rc_sync),
+    Check("extraction-fresh", "oracle", check_extraction_fresh),
+    Check("neighbor-index-sync", "oracle", check_neighbor_index_sync),
+    Check("kernel-sync", "oracle", check_kernel_sync),
+    Check("frozen-mc-sync", "oracle", check_frozen_mc_sync),
+    Check("sens-cache-sync", "oracle", check_sens_cache_sync),
+)

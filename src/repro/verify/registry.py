@@ -1,90 +1,63 @@
-"""The check registry.
+"""Checks and the one runner every check family shares.
 
-A *check* is one named rule: a function from a
-:class:`~repro.verify.context.VerifyContext` to an iterable of
-:class:`~repro.verify.diagnostics.Diagnostic` records.  Checks register
-themselves under a stable rule id and a *kind*:
+A *check* is one named rule: a function from a context to an iterable
+of :class:`~repro.verify.diagnostics.Diagnostic` records, under a
+stable rule id and a *kind*.  Each family is a constant tuple owned by
+the code that runs it, over its own context type:
 
-* ``"drc"``  — domain design-rule / electrical-rule checks over the
-  routed geometry and the RC network;
-* ``"oracle"`` — engine-coherence checks that recompute incrementally
-  maintained state from scratch and diff;
-* ``"static"`` — whole-program determinism / cache-soundness rules
-  over the source itself (:mod:`repro.analysis`); they receive a
-  :class:`~repro.analysis.report.StaticContext` instead of a
-  :class:`VerifyContext` and skip silently when handed anything else.
-* ``"import"`` — DEF-lite document schema/geometry validation
-  (:mod:`repro.designs.importer`); they receive an
-  :class:`~repro.designs.importer.ImportContext` and likewise skip
-  silently on any other context type.
+* :data:`repro.verify.FLOW_CHECKS` — the ``"drc"`` design-rule /
+  electrical-rule checks (:mod:`repro.verify.drc`) and the
+  ``"oracle"`` engine-coherence checks (:mod:`repro.verify.oracle`),
+  over a :class:`~repro.verify.context.VerifyContext`;
+* :data:`repro.analysis.STATIC_CHECKS` — the ``"static"``
+  whole-program rules over a
+  :class:`~repro.analysis.report.StaticContext`;
+* :data:`repro.designs.importer.IMPORT_CHECKS` — the ``"import"``
+  DEF-lite rules over an
+  :class:`~repro.designs.importer.ImportContext`.
 
-``run_checks`` executes a selection and collects one
-:class:`~repro.verify.diagnostics.VerifyReport`.  A check that raises
-is itself reported as an ERROR diagnostic under its own rule id — a
-crashing checker must never mask the corruption it was about to find.
+:func:`run_family` executes one family (or a selection of it) and
+collects one :class:`~repro.verify.diagnostics.VerifyReport`.  A check
+that raises is itself reported as an ERROR diagnostic under its own
+rule id — a crashing checker must never mask the corruption it was
+about to find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Generic, Iterable, Optional, TypeVar
 
 from repro import obs
-from repro.verify.context import VerifyContext
 from repro.verify.diagnostics import Diagnostic, Severity, VerifyReport
 
-CheckFn = Callable[[VerifyContext], Iterable[Diagnostic]]
+#: The context type one check family reads.
+C = TypeVar("C")
 
 
 @dataclass(frozen=True)
-class Check:
-    """One registered verifier rule."""
+class Check(Generic[C]):
+    """One verifier rule: its id, its family and the function."""
 
     rule: str
     kind: str
-    doc: str
-    fn: CheckFn
+    fn: Callable[[C], Iterable[Diagnostic]]
+
+    @property
+    def doc(self) -> str:
+        """The function's first docstring line (``--list-checks`` text)."""
+        lines = (self.fn.__doc__ or "").strip().splitlines()
+        return lines[0] if lines else ""
 
 
-_REGISTRY: dict[str, Check] = {}
+def run_family(ctx: C, checks: Iterable[Check[C]],
+               rules: Optional[Iterable[str]] = None) -> VerifyReport:
+    """Run ``checks`` over ``ctx`` in rule-id order and collect the report.
 
-
-def register(rule: str, kind: str) -> Callable[[CheckFn], CheckFn]:
-    """Class the decorated function as the checker for ``rule``.
-
-    The function's first docstring line becomes the check's one-line
-    description in ``registered_checks`` listings.
+    ``rules`` selects specific rule ids of ``checks``; an id the family
+    does not hold raises :class:`KeyError`.
     """
-    if kind not in ("drc", "oracle", "static", "import"):
-        raise ValueError(f"unknown check kind {kind!r}")
-
-    def decorate(fn: CheckFn) -> CheckFn:
-        if rule in _REGISTRY:
-            raise ValueError(f"check {rule!r} registered twice")
-        doc = (fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else ""
-        _REGISTRY[rule] = Check(rule=rule, kind=kind, doc=doc, fn=fn)
-        return fn
-
-    return decorate
-
-
-def registered_checks(kinds: Optional[Iterable[str]] = None) -> list[Check]:
-    """All registered checks, optionally filtered by kind, id-sorted."""
-    wanted = None if kinds is None else set(kinds)
-    return sorted((c for c in _REGISTRY.values()  # static: ok[C003] populated at import time
-                   if wanted is None or c.kind in wanted),
-                  key=lambda c: c.rule)
-
-
-def run_checks(ctx: VerifyContext,
-               rules: Optional[Iterable[str]] = None,
-               kinds: Optional[Iterable[str]] = None) -> VerifyReport:
-    """Run a selection of checks over ``ctx`` and collect the report.
-
-    ``rules`` selects specific rule ids; ``kinds`` selects whole
-    families.  With neither, every registered check runs.
-    """
-    selected = registered_checks(kinds)
+    selected = sorted(checks, key=lambda c: c.rule)
     if rules is not None:
         wanted = set(rules)
         unknown = wanted - {c.rule for c in selected}

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import (ContextStateSpec, StaticContext, WorkerGroup,
-                            analyze_program, build_program,
+from repro.analysis import (STATIC_CHECKS, ContextStateSpec, StaticContext,
+                            WorkerGroup, analyze_program, build_program,
                             build_static_context, unsuppressed_rationales)
 from repro.units import Dim
 from repro.engine.invariants import StateInvariant
 from repro.io.artifacts import STAGE_KEY_MANIFEST, StageKeyEntry
-from repro.verify import Severity, registered_checks
+from repro.verify import Severity
 
 
 def _context(tmp_path, source, *, det_roots=("pkg.mod.stage",),
@@ -1041,6 +1041,55 @@ def test_repro_suppressions_all_carry_rationales(repro_ctx):
         [f"{s.module}:{s.lineno} ok[{','.join(s.codes)}]" for s in missing]
 
 
+def test_repro_suppressions_all_silence_something(monkeypatch):
+    """Every ``# static: ok[CODE]`` comment silences a CODE finding on
+    its line (mypy's ``warn_unused_ignores``): a stale marker hides
+    nothing today and would hide the next real finding there."""
+    import io
+    import tokenize
+
+    from repro.analysis import report, rules_units
+
+    used: set[tuple[str, int, str]] = set()
+    suppressed = report.StaticContext.suppressed
+    marker_suppressed = rules_units._marker_suppressed
+    module_of: dict[int, str] = {}
+
+    def record_suppressed(self, code, module, lineno):
+        hit = suppressed(self, code, module, lineno)
+        if hit:
+            used.add((module, lineno, code))
+        return hit
+
+    def record_marker(source_lines, rule, lineno):
+        hit = marker_suppressed(source_lines, rule, lineno)
+        if hit:
+            used.add((module_of[id(source_lines)], lineno, rule))
+        return hit
+
+    monkeypatch.setattr(report.StaticContext, "suppressed",
+                        record_suppressed)
+    monkeypatch.setattr(rules_units, "_marker_suppressed", record_marker)
+    ctx = build_static_context()  # fresh: no cached findings
+    modules = ctx.program.modules.values()
+    module_of.update({id(m.source_lines): m.name for m in modules})
+    assert not analyze_program(ctx).has_errors
+
+    unused = []
+    for module in modules:
+        source = io.StringIO("\n".join(module.source_lines) + "\n")
+        for tok in tokenize.generate_tokens(source.readline):
+            # ``#:`` attribute docs may quote the syntax; they mark nothing.
+            if tok.type != tokenize.COMMENT or tok.string.startswith("#:"):
+                continue
+            match = report.SUPPRESS_RE.search(tok.string)
+            for code in match.group(1).split(",") if match else ():
+                if (module.name, tok.start[0], code.strip()) not in used:
+                    unused.append(f"{module.name}:{tok.start[0]} "
+                                  f"ok[{code.strip()}]")
+    assert not unused, unused
+
+
 def test_manifest_names_resolve_in_repro(repro_ctx):
     for entry in STAGE_KEY_MANIFEST:
         assert entry.stage in repro_ctx.program.functions
@@ -1114,9 +1163,10 @@ def test_list_checks_includes_static_catalogue(capsys):
 
 
 def test_static_checks_registered_under_static_kind():
-    import repro.analysis  # noqa: F401 - registration side effect
-    static = registered_checks(kinds=["static"])
-    assert {c.rule for c in static} >= {
+    static = STATIC_CHECKS
+    assert all(c.kind == "static" for c in static)
+    assert len({c.rule for c in static}) == len(static) == 24
+    assert {c.rule for c in static} == {
         "D001", "D002", "D003", "D004", "D005", "D006",
         "C001", "C002", "C003",
         "I001", "I002", "I003",

@@ -87,6 +87,17 @@ def test_requests_validate_eagerly():
         LintRequest()  # non-static needs a design
 
 
+@pytest.mark.parametrize("kinds", [("drcc",), ("static",), ("drc", "import")],
+                         ids=["typo", "static", "import"])
+def test_lint_kinds_name_flow_check_kinds(kinds):
+    with pytest.raises(ValueError, match="drc and oracle"):
+        LintRequest(design="ckt64", kinds=kinds)
+    with pytest.raises(ValueError, match="drc and oracle"):
+        request_from_dict({"kind": "lint", "design": "ckt64",
+                           "kinds": list(kinds)})
+    LintRequest(design="ckt64", kinds=("drc", "oracle"))
+
+
 def test_numeric_fields_are_checked_against_the_flow_ranges():
     # The edges the flow accepts stay legal.
     FlowRequest(design="x", slack=None, random_fraction=0.0,

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from repro import obs
 from repro.core.stages import BuildParams, build_stage
 from repro.designs import generate_design
 from repro.io.artifacts import (ArtifactStore, content_key,
@@ -89,11 +90,16 @@ def test_build_artifact_round_trip(store, tiny_design, tech):
         pytest.approx(physical.refine.extraction.network.total_wire_cap)
 
 
+def _count(tracer, name):
+    """An ``artifacts.*`` counter of ``tracer`` (0 when never bumped)."""
+    return tracer.metrics.value(name) if name in tracer.metrics else 0.0
+
+
 def test_cache_hit_on_identical_spec(store, tiny_spec, tech):
     first = build_stage(generate_design(tiny_spec), tech, store=store)
-    hits_before = store.hits
-    second = build_stage(generate_design(tiny_spec), tech, store=store)
-    assert store.hits == hits_before + 1
+    with obs.capture("hit") as tracer:
+        second = build_stage(generate_design(tiny_spec), tech, store=store)
+    assert _count(tracer, "artifacts.hits") == 1
     assert second is not first
     assert second.routing.clock_wirelength() == \
         pytest.approx(first.routing.clock_wirelength())
@@ -101,12 +107,12 @@ def test_cache_hit_on_identical_spec(store, tiny_spec, tech):
 
 def test_cache_miss_when_params_or_tech_change(store, tiny_design, tech):
     build_stage(tiny_design, tech, store=store)
-    misses_before = store.misses
-    build_stage(tiny_design, tech, BuildParams(max_stage_cap=9.0),
-                store=store)
-    slow_tech = dataclasses.replace(tech, max_slew=tech.max_slew * 2.0)
-    build_stage(tiny_design, slow_tech, store=store)
-    assert store.misses == misses_before + 2
+    with obs.capture("miss") as tracer:
+        build_stage(tiny_design, tech, BuildParams(max_stage_cap=9.0),
+                    store=store)
+        slow_tech = dataclasses.replace(tech, max_slew=tech.max_slew * 2.0)
+        build_stage(tiny_design, slow_tech, store=store)
+    assert _count(tracer, "artifacts.misses") == 2
 
 
 def test_snapshots_are_mutation_safe(store, tiny_design, tech):
@@ -189,11 +195,13 @@ def test_gc_reports_only_without_budget(tmp_path):
 
 def test_save_triggers_gc_under_configured_budget(tmp_path):
     store = ArtifactStore(tmp_path, max_disk_bytes=5000)
-    _fill(store, 5)
+    with obs.capture("gc") as tracer:
+        _fill(store, 5)
     stats = store.stats()
     assert stats["disk_bytes"] <= 5000
-    assert store.evictions > 0 and store.evicted_bytes > 0
-    assert stats["evictions"] == store.evictions
+    evictions = _count(tracer, "artifacts.evictions")
+    assert evictions > 0 and _count(tracer, "artifacts.evicted_bytes") > 0
+    assert stats["disk_entries"] == 5 - evictions
     assert stats["disk_bytes"] == sum(
         path.stat().st_size for _, path, _, _ in store.disk_entries())
 
@@ -204,8 +212,9 @@ def test_unwritable_root_degrades_to_no_cache(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
     store = ArtifactStore(blocker / "artifacts")
-    store.save("b" * 64, 42)            # disk write fails silently
-    assert store.load("b" * 64) is None
+    with obs.capture("unwritable") as tracer:
+        store.save("b" * 64, 42)            # disk write fails silently
+        assert store.load("b" * 64) is None
     assert not store.path_for("b" * 64).exists()
-    assert store.misses == 1
+    assert _count(tracer, "artifacts.misses") == 1
     assert store.gc(max_bytes=0)["kept_bytes"] == 0

@@ -186,6 +186,32 @@ def test_unresolvable_design_exits_2_with_one_line(tmp_path, monkeypatch,
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("checks", ["drcc", "static"])
+def test_lint_unknown_kind_exits_2_with_one_line(capsys, checks):
+    code = main(["lint", "--design", "ckt64", "--checks", checks])
+    out, err = capsys.readouterr()
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("lint: "), err
+    assert checks in lines[0] and "drc" in lines[0] and "oracle" in lines[0]
+    assert "Traceback" not in err and out == ""
+
+
+def test_store_stats_reports_the_disk_only(tmp_path, capsys):
+    from repro.io import ArtifactStore
+
+    store = ArtifactStore(tmp_path)
+    for i in range(3):
+        store.save(f"{i}" * 64, b"x" * 100)
+    assert store.load("0" * 64) is not None
+    assert main(["store", "stats", "--store", str(tmp_path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {
+        "root": str(tmp_path), "disk_entries": 3,
+        "disk_bytes": sum(size for _, _, size, _ in store.disk_entries())}
+
+
 def test_suite_json_flag_parses():
     args = build_parser().parse_args(["suite", "--json", "--jobs", "2"])
     assert args.command == "suite" and args.json and args.jobs == 2

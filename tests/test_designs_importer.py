@@ -7,7 +7,7 @@ import pytest
 from repro.designs import (deflite_to_design, design_to_deflite,
                            import_design, load_deflite, save_deflite,
                            spec_by_name, validate_deflite)
-from repro.designs.importer import check_deflite_schema
+from repro.designs.importer import IMPORT_CHECKS
 from repro.designs.spec import resolve_source
 from repro.io.design_json import design_to_dict
 from repro.verify.diagnostics import VerificationError
@@ -74,8 +74,15 @@ def test_window_past_period_is_a_warning_only():
                for diag in report.diagnostics)
 
 
-def test_import_checks_skip_foreign_contexts():
-    assert list(check_deflite_schema(object())) == []
+def test_validate_runs_exactly_the_import_checks():
+    from repro.verify import FLOW_CHECKS
+
+    report = validate_deflite(_doc())
+    assert report.checks_run == sorted(c.rule for c in IMPORT_CHECKS)
+    assert report.checks_run == ["import-electrical", "import-geometry",
+                                 "import-names", "import-schema"]
+    assert all(c.kind == "import" for c in IMPORT_CHECKS)
+    assert not {c.rule for c in FLOW_CHECKS} & set(report.checks_run)
 
 
 def test_import_design_raises_on_errors(tmp_path):

@@ -1,11 +1,10 @@
-"""Corpus registry: families, lookup errors, selector resolution."""
+"""Corpus table: families, lookup errors, selector resolution."""
 
 import pytest
 
-from repro.designs import (DesignSpec, families, family, family_of,
-                           register_design_family, resolve_selectors,
+from repro.designs import (DesignFamily, DesignSpec, families, family,
+                           family_of, iter_specs, resolve_selectors,
                            spec_by_name, spec_names)
-from repro.designs import registry as registry_mod
 
 
 def test_builtin_families_registered():
@@ -29,20 +28,21 @@ def test_spec_by_name_suggests_close_matches_and_families():
     assert "soc_h64" in message
 
 
-def test_register_rejects_duplicates():
-    probe = DesignSpec("dup_probe", n_sinks=4, die_edge=50.0)
-    fam = register_design_family("dup_fam", "probe", (probe,))
-    try:
-        assert fam.specs == (probe,)
-        with pytest.raises(ValueError, match="registered twice"):
-            register_design_family("dup_fam", "again", (probe,))
-        with pytest.raises(ValueError, match="dup_probe"):
-            register_design_family("dup_fam2", "again", (probe,))
-        with pytest.raises(ValueError, match="no specs"):
-            register_design_family("empty_fam", "nothing", ())
-    finally:
-        registry_mod._FAMILIES.pop("dup_fam", None)
-        registry_mod._SPECS.pop("dup_probe", None)
+def test_family_table_names_are_unique():
+    names = [fam.name for fam in families()]
+    assert len(set(names)) == len(names)
+    design_names = [spec.name for spec in iter_specs()]
+    assert len(set(design_names)) == len(design_names)
+    assert spec_names() == tuple(design_names)
+    for name in design_names:
+        assert spec_by_name(name).name == name
+
+
+def test_empty_family_raises():
+    with pytest.raises(ValueError, match="no specs"):
+        DesignFamily("empty_fam", "nothing", ())
+    probe = DesignSpec("probe", n_sinks=4, die_edge=50.0)
+    assert DesignFamily("probe_fam", "probe", (probe,)).specs == (probe,)
 
 
 @pytest.mark.parametrize("selectors,expected", [

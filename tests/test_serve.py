@@ -372,6 +372,8 @@ BAD_FLOW_BODIES = [
                  id="sweep-unknown-design"),
     pytest.param("/v1/lint", {"design": "no-such-design"},
                  id="lint-unknown-design"),
+    pytest.param("/v1/lint", {"design": "ckt64", "kinds": ["drcc"]},
+                 id="lint-unknown-kind"),
     pytest.param("/v1/run", {"design": "no-such-design.json"},
                  id="run-missing-design-file"),
     pytest.param("/v1/run?stream=1", {"design": "no-such-design"},
@@ -409,10 +411,12 @@ def test_daemon_gc_rejects_bool_and_negative_budgets(tmp_path, max_bytes):
         finally:
             await daemon.stop()
 
-    (status, env), submitted, store = asyncio.run(main())
+    with obs.capture("gc") as tracer:
+        (status, env), submitted, store = asyncio.run(main())
     assert status == 400, env
     assert submitted == 0
-    assert store.evictions == 0
+    assert ("artifacts.evictions" not in tracer.metrics
+            or tracer.metrics.value("artifacts.evictions") == 0)
     assert store.path_for("a" * 64).exists()
 
 

@@ -1,6 +1,6 @@
 """Seeded-corruption tests for the static verification layer.
 
-Every registered check must (a) stay silent on a legitimately built
+Every flow check must (a) stay silent on a legitimately built
 design and (b) fire a named diagnostic when its invariant is broken on
 purpose.  Corruptions are injected into fresh per-test builds — the
 session-scoped fixtures stay read-only.
@@ -23,10 +23,10 @@ from repro.core.targets import RobustnessTargets
 from repro.engine import AnalysisEngine
 from repro.route.wires import RoutedWire
 from repro.tech.ndr import W2S2, W4S2, RuleName, RoutingRule
-from repro.verify import (Severity, VerificationError, VerifyContext,
-                          assert_flow_clean, registered_checks, run_checks,
-                          verify_flow, verify_physical)
-from repro.verify import registry as verify_registry
+from repro.verify import (FLOW_CHECKS, Severity, VerificationError,
+                          VerifyContext, assert_flow_clean, flow_checks,
+                          run_checks, verify_flow, verify_physical)
+from repro.verify.registry import Check, run_family
 
 
 def _errors(report, rule=None):
@@ -41,6 +41,16 @@ def _warnings(report, rule=None):
 def tiny_flow(tech, tiny_spec):
     """A fresh SMART flow (engine attached) safe to corrupt."""
     return run_flow(generate_design(tiny_spec), tech, policy=Policy.SMART)
+
+
+@pytest.fixture
+def tiny_ref(tmp_path, tiny_design):
+    """The tiny design as a JSON path (a lint request's design ref)."""
+    from repro.io import save_design
+
+    path = tmp_path / "tiny.json"
+    save_design(tiny_design, path)
+    return str(path)
 
 
 @pytest.fixture
@@ -63,18 +73,17 @@ def engine_ctx(make_tiny_physical, tech):
 
 
 def test_registry_has_full_catalogue():
-    checks = registered_checks()
-    assert len(checks) >= 10
-    oracle = registered_checks(kinds=["oracle"])
-    assert len(oracle) >= 3
-    assert all(check.doc for check in checks), "every check is documented"
-    assert len({check.rule for check in checks}) == len(checks)
+    assert len(flow_checks(["drc"])) == 10
+    assert len(flow_checks(["oracle"])) == 7
+    assert len(FLOW_CHECKS) == 17
+    assert all(check.doc for check in FLOW_CHECKS), "every check is documented"
+    assert len({check.rule for check in FLOW_CHECKS}) == len(FLOW_CHECKS)
 
 
 def test_clean_flow_verifies_clean(tiny_flow):
     report = verify_flow(tiny_flow)
     assert not report.has_errors, report.render()
-    assert len(report.checks_run) == len(registered_checks())
+    assert report.checks_run == sorted(c.rule for c in FLOW_CHECKS)
     assert tiny_flow.optimize is not None
     assert tiny_flow.optimize.engine is not None
 
@@ -91,21 +100,35 @@ def test_run_checks_unknown_rule_raises(make_tiny_physical):
 
 
 def test_crashing_check_reported_not_masked(make_tiny_physical):
-    from repro.verify.registry import register
-
-    @register("test-crash", kind="drc")
     def check_crash(ctx):
         """Always crashes (test helper)."""
         raise RuntimeError("boom")
 
-    try:
-        ctx = VerifyContext.from_physical(make_tiny_physical())
-        report = run_checks(ctx, rules=["test-crash"])
-        errs = _errors(report, "test-crash")
-        assert len(errs) == 1
-        assert "boom" in errs[0].message
-    finally:
-        verify_registry._REGISTRY.pop("test-crash", None)
+    ctx = VerifyContext.from_physical(make_tiny_physical())
+    report = run_family(ctx, (Check("test-crash", "drc", check_crash),))
+    errs = _errors(report, "test-crash")
+    assert len(errs) == 1
+    assert "boom" in errs[0].message
+    assert report.checks_run == ["test-crash"]
+
+
+def test_flow_is_verified_by_exactly_its_checks(tiny_flow, tiny_ref):
+    """Whatever else the process imported, a flow pass runs the 17."""
+    import repro.analysis  # noqa: F401 - the static family's table
+    import repro.designs.importer  # noqa: F401 - the import family's table
+    from repro.api import LintRequest, lint
+
+    flow_rules = sorted(c.rule for c in FLOW_CHECKS)
+    assert len(flow_rules) == 17
+    assert verify_flow(tiny_flow).checks_run == flow_rules
+    assert lint(LintRequest(design=tiny_ref)).checks_run == flow_rules
+
+
+def test_unknown_kind_is_rejected(make_tiny_physical):
+    ctx = VerifyContext.from_physical(make_tiny_physical())
+    for kinds in (["drcc"], ["static"], ["import"]):
+        with pytest.raises(ValueError, match="drc and oracle"):
+            run_checks(ctx, kinds=kinds)
 
 
 def test_report_render_and_json(make_tiny_physical):
