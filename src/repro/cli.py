@@ -476,8 +476,7 @@ def cmd_serve(args) -> int:
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
         store_root=args.store or None,
-        max_store_bytes=args.max_store_bytes,
-        warm=not args.no_warm)
+        max_store_bytes=args.max_store_bytes)
     return asyncio.run(_serve_main(config))
 
 
@@ -665,8 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="LRU disk budget for the store "
                               "(default: $REPRO_CACHE_MAX_BYTES)")
-    p_serve.add_argument("--no-warm", action="store_true",
-                         help="skip pre-spawning workers at startup")
     add_common_opts(p_serve)
 
     p_store = sub.add_parser(

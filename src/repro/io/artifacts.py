@@ -46,7 +46,10 @@ from repro import obs
 #: flow moved to a derived key — no whole-flow entry is read as a record.
 #: 4: a cell record holds measurements only (no feasibility verdict),
 #: and a budget-blind cell's key no longer hashes its budgets.
-ARTIFACT_SCHEMA = 4
+#: 5: a cell record keeps the design's clock period, so a hit is judged
+#: without resolving its design; cell keys hash the technology's
+#: fingerprint, and a budget-blind key the analysis settings alone.
+ARTIFACT_SCHEMA = 5
 
 #: Environment variable overriding the default on-disk cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

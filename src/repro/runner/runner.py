@@ -29,8 +29,14 @@ product through an :class:`~repro.io.artifacts.ArtifactStore`:
   leaves the budgets out and one record serves every slack — the
   pegged ALL-NDR cells share the reference's record.  Every read
   judges the record against the reading cell's own budgets;
-* each design resolves once per runner (once per worker in a pool),
-  memoized by its content fingerprint.
+* only a computing cell resolves its design (once per design content
+  per runner, or per pool worker).  A hit is keyed by content
+  fingerprints — the design reference's, hashed once per cell, and the
+  technology's, hashed once per runner or worker — and judged from its
+  record: a pegged cell's budgets come from the reference's metrics,
+  period budgets from the clock period the record keeps.  Each
+  runner's reference metrics are keyed by design content too, so an
+  edited design JSON gets a new reference.
 
 A cell records into the active tracer.  Only a pool worker captures
 one, shipping its span tree plus metric deltas back inside each
@@ -45,7 +51,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union
 
@@ -54,7 +60,8 @@ from repro.core.flow import FlowResult, run_flow
 from repro.core.policies import Policy
 from repro.core.stages import BuildMemo
 from repro.core.targets import RobustnessTargets
-from repro.io.artifacts import ArtifactStore, content_key
+from repro.io.artifacts import (ArtifactStore, content_key,
+                                technology_fingerprint)
 from repro.netlist.design import Design
 from repro.runner.matrix import (DesignRef, JobSpec, design_ref_fingerprint,
                                  resolve_design)
@@ -62,6 +69,13 @@ from repro.tech.technology import Technology, default_technology
 
 #: (worst_delta_ps, skew_3sigma_ps) of a design's all-NDR reference.
 RefMetrics = tuple[float, float]
+
+#: What a budget-blind flow reads of its budgets: the analysis
+#: settings, which every cell's budgets keep at their
+#: :class:`RobustnessTargets` defaults (period-derived and pegged
+#: alike).  A budget-blind cell's key hashes these alone.
+_ANALYSIS_SETTINGS = {f.name: f.default for f in fields(RobustnessTargets)
+                      if f.name in ("alignment", "mc_samples", "mc_seed")}
 
 #: Environment variables the runner deliberately forwards into (or
 #: honors inside) worker processes.  The static determinism analyzer
@@ -102,15 +116,19 @@ class CellRecord:
     A cached cell answers from this record alone.  It holds no verdict:
     :meth:`judged` decides feasibility against the reading cell's own
     budgets, so one record can serve every slack of a budget-blind
-    cell.  The full :class:`FlowResult` lives under :func:`_flow_key`
-    of the same key when the caller that computed the cell read flows;
-    it is unpickled only when a caller needs the flow itself, and a
-    flow caller that finds it absent recomputes the cell.
+    cell; ``clock_period`` gives a hit its period-derived budgets
+    without resolving the design.  The full :class:`FlowResult` lives
+    under :func:`_flow_key` of the same key when the caller that
+    computed the cell read flows; it is unpickled only when a caller
+    needs the flow itself, and a flow caller that finds it absent
+    recomputes the cell.
     """
 
     #: ``FlowResult.summary()`` without its ``"feasible"`` entry
     measurements: dict[str, float]
     rule_histogram: dict[str, int]
+    #: the design's clock period, ps
+    clock_period: float
 
     @classmethod
     def of(cls, flow: FlowResult) -> "CellRecord":
@@ -118,7 +136,8 @@ class CellRecord:
         measurements = flow.summary()
         del measurements["feasible"]
         return cls(measurements=measurements,
-                   rule_histogram=dict(flow.rule_histogram))
+                   rule_histogram=dict(flow.rule_histogram),
+                   clock_period=flow.physical.design.clock_period)
 
     def judged(self, targets: RobustnessTargets
                ) -> tuple[dict[str, float], bool]:
@@ -141,6 +160,8 @@ class _ExecContext:
     """Everything a job execution needs besides the job itself."""
 
     tech: Technology
+    #: ``technology_fingerprint(tech)``, hashed once per runner or worker
+    tech_fp: str
     store: Optional[ArtifactStore]
     verify: bool
     return_flows: bool = False
@@ -150,46 +171,29 @@ class _ExecContext:
     #: the last build computed here, forked for every later cell of it
     builds: BuildMemo = field(default_factory=BuildMemo)
 
-    def design(self, ref: DesignRef) -> Design:
-        """``ref`` resolved, once per design content."""
-        fp = design_ref_fingerprint(ref)
+    def design(self, fp: str, ref: DesignRef) -> Design:
+        """``ref`` (content fingerprint ``fp``) resolved, once per content."""
         design = self.designs.get(fp)
         if design is None:
-            design = self.designs[fp] = resolve_design(ref)
+            with obs.span("designs.resolve", design=ref):
+                design = self.designs[fp] = resolve_design(ref)
         return design
 
 
-def _reference_targets(design: Design, tech: Technology,
-                       metrics: Optional[RefMetrics],
-                       slack: Optional[float]) -> RobustnessTargets:
-    """The cell's budgets: period-derived, or pegged to the reference."""
-    if slack is None or metrics is None:
-        return RobustnessTargets.for_period(design.clock_period,
-                                            tech.max_slew)
-    worst_delta, skew_3sigma = metrics
-    return RobustnessTargets.from_reference(worst_delta=worst_delta,
-                                            skew_3sigma=skew_3sigma,
-                                            max_slew=tech.max_slew,
-                                            slack=slack)
-
-
-def _cell_key(job: JobSpec, ctx: _ExecContext,
-              targets: RobustnessTargets) -> str:
+def _cell_key(job: JobSpec, design: str, tech: str,
+              targets: Optional[RobustnessTargets]) -> str:
     """Content hash identifying one completed cell (its record).
 
-    A budget-blind cell hashes only the analysis settings of its
-    targets — all its flow reads of them — so every slack shares one
-    record.
+    ``design`` and ``tech`` are the content fingerprints of the cell's
+    design reference and technology.  A budget-reading policy hashes
+    its ``targets``; a budget-blind cell ignores them and hashes only
+    the analysis settings every cell's budgets carry — all its flow
+    reads of them — so every slack shares one record and a hit needs
+    no budgets.
     """
     return content_key(
-        "flow-cell",
-        design=design_ref_fingerprint(job.design),
-        tech=ctx.tech,
-        policy=job.policy_params(),
-        targets=targets if job.policy.reads_budgets else {
-            "alignment": targets.alignment,
-            "mc_samples": targets.mc_samples,
-            "mc_seed": targets.mc_seed})
+        "flow-cell", design=design, tech=tech, policy=job.policy_params(),
+        targets=targets if job.policy.reads_budgets else _ANALYSIS_SETTINGS)
 
 
 def _flow_key(record_key: str) -> str:
@@ -224,18 +228,27 @@ def _save_cell(store: ArtifactStore, key: str, record: CellRecord,
     store.save(key, record)
 
 
-def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
+def _execute_job(job: JobSpec, design_fp: str,
+                 targets: Optional[RobustnessTargets],
                  ctx: _ExecContext) -> JobResult:
     """Run (or load) one cell under a ``runner.cell`` span.
+
+    ``design_fp`` is ``design_ref_fingerprint(job.design)``, hashed
+    once by the caller.  ``targets`` are the cell's budgets pegged to
+    its reference, or ``None`` for the design's period-derived budgets.
+
+    Only a computing cell resolves its design.  A hit is keyed without
+    one (a budget-blind key hashes no budgets) and judged from its
+    record, period budgets from the record's clock period.  The one
+    hit that still resolves is a budget-reading policy at
+    ``slack=None``: its key hashes its numeric period budgets.  No
+    ``api.compare`` or ``api.sweep`` call makes such a cell.
 
     ``run_flow``'s hook verifies a computed flow; under verification a
     flow loaded from the store is checked here instead.
     """
     start = time.perf_counter()  # static: ok[D002] feeds JobResult.runtime metadata only
-    design = ctx.design(job.design)
-    targets = _reference_targets(design, ctx.tech, metrics, job.slack)
     store = ctx.store
-    key = _cell_key(job, ctx, targets) if store is not None else None
     # Only verification and flow-returning callers read the full flow,
     # so only they load or save it; everyone else is answered from, and
     # stores, the compact record.
@@ -243,29 +256,43 @@ def _execute_job(job: JobSpec, metrics: Optional[RefMetrics],
 
     with obs.span(obs.CELL_SPAN, cell=job.label, design=str(job.design),
                   policy=job.policy.value) as cell:
+        design: Optional[Design] = None
+        if targets is None and job.policy.reads_budgets:
+            design = ctx.design(design_fp, job.design)
+            targets = RobustnessTargets.for_period(design.clock_period,
+                                                   ctx.tech.max_slew)
+        key = (_cell_key(job, design_fp, ctx.tech_fp, targets)
+               if store is not None else None)
         record: Optional[CellRecord] = None
         flow: Optional[FlowResult] = None
         if key is not None and store is not None:
             record, flow = _load_cell(store, key, need_flow)
         cached = record is not None
         if record is None:
+            if design is None:
+                design = ctx.design(design_fp, job.design)
             flow = run_flow(design, ctx.tech, policy=job.policy,
                             targets=targets,
                             random_fraction=job.random_fraction,
                             random_seed=job.random_seed,
                             lambda_track=job.lambda_track,
                             store=ctx.store, memo=ctx.builds)
+            targets = flow.targets
             record = CellRecord.of(flow)
             if key is not None and store is not None:
                 _save_cell(store, key, record, flow if need_flow else None)
-        elif flow is not None:
-            # A budget-blind cell's flow may have been stored by
-            # another slack: hand it back under this cell's budgets.
-            flow = replace(flow, targets=targets)
-            if ctx.verify:
-                from repro.verify import assert_flow_clean
+        else:
+            if targets is None:
+                targets = RobustnessTargets.for_period(record.clock_period,
+                                                       ctx.tech.max_slew)
+            if flow is not None:
+                # A budget-blind cell's flow may have been stored by
+                # another slack: hand it back under this cell's budgets.
+                flow = replace(flow, targets=targets)
+                if ctx.verify:
+                    from repro.verify import assert_flow_clean
 
-                assert_flow_clean(flow, f"runner:{job.label}")
+                    assert_flow_clean(flow, f"runner:{job.label}")
         summary, feasible = record.judged(targets)
         if cell is not None:
             cell.attrs["cached"] = cached
@@ -307,15 +334,17 @@ def _pool_init(tech: Technology, store_root: Optional[str], verify: bool,
     else:
         os.environ.pop("REPRO_VERIFY_FLOWS", None)
     store = ArtifactStore(store_root) if store_root is not None else None
-    _WORKER_CTX = _ExecContext(tech=tech, store=store, verify=verify,  # static: ok[D004] per-worker context slot, written once by the pool initializer before any job runs
+    _WORKER_CTX = _ExecContext(tech=tech, tech_fp=technology_fingerprint(tech),  # static: ok[D004] per-worker context slot, written once by the pool initializer before any job runs
+                               store=store, verify=verify,
                                return_flows=return_flows)
 
 
-def _pool_run(job: JobSpec, metrics: Optional[RefMetrics]) -> JobResult:
+def _pool_run(job: JobSpec, design_fp: str,
+              targets: Optional[RobustnessTargets]) -> JobResult:
     """Pool entry point: execute one job, capturing its trace."""
     assert _WORKER_CTX is not None, "pool used before initialization"
     with obs.capture(f"cell:{job.label}") as tracer:
-        result = _execute_job(job, metrics, _WORKER_CTX)
+        result = _execute_job(job, design_fp, targets, _WORKER_CTX)
     result.trace = tracer.export_payload()
     return result
 
@@ -355,15 +384,18 @@ class FlowRunner:
         self.store: Optional[ArtifactStore] = resolved
         self.jobs = max(1, int(jobs))
         self.verify = bool(os.environ.get("REPRO_VERIFY_FLOWS"))
-        self._ref_metrics: dict[DesignRef, RefMetrics] = {}
+        self._tech_fp = technology_fingerprint(self.tech)
+        #: design fingerprint -> its all-NDR reference metrics
+        self._ref_metrics: dict[str, RefMetrics] = {}
         self._designs: dict[str, Design] = {}
         self._builds = BuildMemo()
 
     # -- single-cell API ------------------------------------------------------
 
     def _context(self, return_flows: bool) -> _ExecContext:
-        return _ExecContext(tech=self.tech, store=self.store,
-                            verify=self.verify, return_flows=return_flows,
+        return _ExecContext(tech=self.tech, tech_fp=self._tech_fp,
+                            store=self.store, verify=self.verify,
+                            return_flows=return_flows,
                             designs=self._designs, builds=self._builds)
 
     def run_job(self, job: JobSpec, return_flow: bool = True) -> JobResult:
@@ -372,32 +404,46 @@ class FlowRunner:
         The full reference flow itself is
         ``run_job(job.reference_job(), return_flow=True).flow``.
         """
-        metrics = self._metrics_for(job)
-        return _execute_job(job, metrics, self._context(return_flow))
+        return self._run_cell(job, design_ref_fingerprint(job.design),
+                              return_flow)
 
-    def _reference_metrics(self, design: DesignRef) -> RefMetrics:
-        """The design's all-NDR reference metrics (from its cell record)."""
-        metrics = self._ref_metrics.get(design)
+    def _run_cell(self, job: JobSpec, fp: str,
+                  return_flow: bool) -> JobResult:
+        """:meth:`run_job` of a design whose fingerprint is ``fp``."""
+        return _execute_job(job, fp, self._cell_targets(job, fp),
+                            self._context(return_flow))
+
+    def _cell_targets(self, job: JobSpec,
+                      fp: str) -> Optional[RobustnessTargets]:
+        """``job``'s pegged budgets; ``None`` for period budgets."""
+        if job.slack is None:
+            return None
+        return self._pegged(job.design, fp, job.slack)
+
+    def _pegged(self, design: DesignRef, fp: str,
+                slack: float) -> RobustnessTargets:
+        """Budgets pegged to the all-NDR reference of content ``fp``.
+
+        The reference's metrics come from its cell record, once per
+        runner and design content, so an edited design JSON gets its
+        own reference.
+        """
+        metrics = self._ref_metrics.get(fp)
         if metrics is None:
             job = JobSpec(design=design, policy=Policy.ALL_NDR, slack=None)
-            summary = _execute_job(job, None, self._context(False)).summary
-            metrics = self._ref_metrics[design] = (
+            summary = _execute_job(job, fp, None, self._context(False)).summary
+            metrics = self._ref_metrics[fp] = (
                 summary["worst_delta_ps"], summary["skew_3sigma_ps"])
-        return metrics
-
-    def targets_for(self, design: DesignRef,
-                    slack: float = 0.15) -> RobustnessTargets:
-        """Budgets pegged to the design's cached all-NDR reference."""
-        worst_delta, skew_3sigma = self._reference_metrics(design)
+        worst_delta, skew_3sigma = metrics
         return RobustnessTargets.from_reference(worst_delta=worst_delta,
                                                 skew_3sigma=skew_3sigma,
                                                 max_slew=self.tech.max_slew,
                                                 slack=slack)
 
-    def _metrics_for(self, job: JobSpec) -> Optional[RefMetrics]:
-        if job.slack is None:
-            return None
-        return self._reference_metrics(job.design)
+    def targets_for(self, design: DesignRef,
+                    slack: float = 0.15) -> RobustnessTargets:
+        """Budgets pegged to the design's cached all-NDR reference."""
+        return self._pegged(design, design_ref_fingerprint(design), slack)
 
     # -- matrix API -----------------------------------------------------------
 
@@ -412,7 +458,8 @@ class FlowRunner:
         design's cells run together and fork one build.  With
         ``jobs > 1`` a process pool computes the deduplicated
         references first, then the cells; duplicate cells execute once
-        and fan out to every position.
+        and fan out to every position.  Each design reference is
+        hashed once per run.
 
         When the session is traced, the whole run is one
         ``runner.matrix`` span; every worker's streamed trace payload
@@ -422,27 +469,29 @@ class FlowRunner:
         job_list = list(matrix)
         n_workers = self.jobs if jobs is None else max(1, int(jobs))
         n_workers = min(n_workers, max(len(job_list), 1))
+        fps = {ref: design_ref_fingerprint(ref)
+               for ref in dict.fromkeys(job.design for job in job_list)}
 
-        ref_jobs: list[JobSpec] = []
-        seen_refs: set[DesignRef] = set()
+        # design fingerprint -> the reference job it still needs
+        ref_jobs: dict[str, JobSpec] = {}
         for job in job_list:
             ref = job.reference_job()
-            if ref is not None and job.design not in seen_refs \
-                    and job.design not in self._ref_metrics:
-                seen_refs.add(job.design)
-                ref_jobs.append(ref)
+            fp = fps[job.design]
+            if ref is not None and fp not in self._ref_metrics:
+                ref_jobs.setdefault(fp, ref)
 
         with obs.span(obs.MATRIX_SPAN, cells=len(job_list),
                       references=len(ref_jobs),
                       workers=n_workers) as matrix_span:
             if n_workers <= 1:
-                return [self.run_job(job, return_flow=return_flows)
+                return [self._run_cell(job, fps[job.design], return_flows)
                         for job in job_list]
-            return self._run_pool(job_list, ref_jobs, n_workers,
+            return self._run_pool(job_list, fps, ref_jobs, n_workers,
                                   return_flows, matrix_span)
 
-    def _run_pool(self, job_list: list[JobSpec], ref_jobs: list[JobSpec],
-                  n_workers: int, return_flows: bool,
+    def _run_pool(self, job_list: list[JobSpec], fps: dict[DesignRef, str],
+                  ref_jobs: dict[str, JobSpec], n_workers: int,
+                  return_flows: bool,
                   matrix_span: Optional[obs.SpanRecord]) -> list[JobResult]:
         """The pooled phases of :meth:`run` (references, then cells)."""
         tracer = obs.active()
@@ -464,13 +513,13 @@ class FlowRunner:
                           str(self.store.root) if self.store else None,
                           self.verify, return_flows)) as pool:
             # Phase 1: deduplicated upstream references.
-            for result in pool.map(_pool_run, ref_jobs,
-                                   [None] * len(ref_jobs)):
+            for fp, result in zip(ref_jobs, pool.map(
+                    _pool_run, ref_jobs.values(), ref_jobs,
+                    [None] * len(ref_jobs))):
                 absorb(result)
                 self._ref_metrics.setdefault(
-                    result.job.design,
-                    (result.summary["worst_delta_ps"],
-                     result.summary["skew_3sigma_ps"]))
+                    fp, (result.summary["worst_delta_ps"],
+                         result.summary["skew_3sigma_ps"]))
 
             # Phase 2: the cells, duplicates submitted once.
             unique: dict[JobSpec, list[int]] = {}
@@ -479,7 +528,8 @@ class FlowRunner:
             obs.counter("runner.cells_deduped").inc(
                 len(job_list) - len(unique))
             future_of = {
-                pool.submit(_pool_run, job, self._metrics_for(job)): job
+                pool.submit(_pool_run, job, fps[job.design],
+                            self._cell_targets(job, fps[job.design])): job
                 for job in unique
             }
             slots: list[Optional[JobResult]] = [None] * len(job_list)

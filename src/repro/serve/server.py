@@ -52,8 +52,6 @@ class ServeConfig:
     workers: int = 2
     store_root: Optional[str] = None
     max_store_bytes: Optional[int] = None
-    #: Pre-spawn every worker (kernel imports) before accepting.
-    warm: bool = True
 
 
 class ServeDaemon:
@@ -84,8 +82,12 @@ class ServeDaemon:
         return int(self._server.sockets[0].getsockname()[1])
 
     async def start(self) -> None:
-        """Open the pool and start accepting connections.
+        """Open the pool, spawn its workers, then start accepting.
 
+        Every worker is forked and pinged before the listening socket
+        exists, so no worker inherits it or a client connection (a
+        worker forked inside a request's handler would hold that
+        connection open, and a client reading to EOF would hang).
         Without an outer ``--trace`` session the daemon installs its
         own tracer, for metrics only, so /v1/metrics is live.  Workers
         verify flows when ``REPRO_VERIFY_FLOWS`` is set now.
@@ -97,8 +99,7 @@ class ServeDaemon:
             workers=self.config.workers,
             verify=bool(os.environ.get("REPRO_VERIFY_FLOWS")),
             store_root=str(self.store.root))
-        if self.config.warm:
-            await self.pool.warm()
+        await self.pool.warm()
         self._server = await asyncio.start_server(
             self._handle_conn, host=self.config.host,
             port=self.config.port)

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from repro.core import Policy
 from repro.core.targets import RobustnessTargets
-from repro.io.artifacts import STAGE_KEY_MANIFEST
-from repro.runner.matrix import JobSpec
-from repro.runner.runner import _cell_key, _ExecContext
+from repro.io.artifacts import STAGE_KEY_MANIFEST, technology_fingerprint
+from repro.runner.matrix import JobSpec, design_ref_fingerprint
+from repro.runner.runner import _cell_key
 from repro.tech import default_technology
 
 _TECH = default_technology()
-_CTX = _ExecContext(tech=_TECH, store=None, verify=False)
+_TECH_FP = technology_fingerprint(_TECH)
 
 #: Fields PolicyParams.normalized() keeps, per policy.  design/policy
 #: are live for every policy; slack (it selects the budget targets)
@@ -51,7 +51,8 @@ def _targets(job: JobSpec) -> RobustnessTargets:
 
 
 def _key(job: JobSpec) -> str:
-    return _cell_key(job, _CTX, _targets(job))
+    return _cell_key(job, design_ref_fingerprint(job.design), _TECH_FP,
+                     _targets(job))
 
 
 def _perturb(job: JobSpec, field: str) -> JobSpec:

@@ -225,31 +225,32 @@ def test_load_trace_rejects_dangling_parent(tmp_path):
 def _cell_shape(tracer) -> tuple[list[tuple], list[tuple]]:
     """(name, parent-name) pairs, order-normalised, durations dropped.
 
-    Returns the pairs outside any ``flow.build`` subtree, and one
-    sorted tuple of pairs per build subtree (its root included): a
-    runner and each pool worker build a design once and fork that
-    build for every later cell, so how many builds a pool runs depends
-    on which worker draws which cell, but not what a build looks like.
+    Returns the pairs outside any ``designs.resolve`` or ``flow.build``
+    subtree, and one sorted tuple of pairs per such subtree (its root
+    included): a runner and each pool worker resolve and build a design
+    once and fork that build for every later cell, so how many
+    resolutions and builds a pool runs depends on which worker draws
+    which cell, but not what one looks like.
     """
     by_id = {r.span_id: r for r in tracer.records}
 
-    def build_of(r) -> int | None:
+    def subtree_of(r) -> int | None:
         while r is not None:
-            if r.name == "flow.build":
+            if r.name in ("designs.resolve", "flow.build"):
                 return r.span_id
             r = by_id.get(r.parent_id)
         return None
 
     outside: list[tuple] = []
-    builds: dict[int, list[tuple]] = {}
+    subtrees: dict[int, list[tuple]] = {}
     for r in tracer.records:
         pair = (r.name, by_id[r.parent_id].name if r.parent_id else None)
-        build = build_of(r)
-        if build is None:
+        root = subtree_of(r)
+        if root is None:
             outside.append(pair)
         else:
-            builds.setdefault(build, []).append(pair)
-    return sorted(outside), [tuple(sorted(b)) for b in builds.values()]
+            subtrees.setdefault(root, []).append(pair)
+    return sorted(outside), [tuple(sorted(b)) for b in subtrees.values()]
 
 
 def test_worker_trace_shape_matches_in_process(tiny_ref):
@@ -272,12 +273,14 @@ def test_worker_trace_shape_matches_in_process(tiny_ref):
     # each on its own fork of the build.
     assert shapes[1].count((obs.CELL_SPAN, obs.MATRIX_SPAN)) == 3
     assert shapes[1].count(("flow.fork", obs.CELL_SPAN)) == 3
-    # Serially the design builds once; each worker builds at most once,
-    # and every build has the same shape, re-rooted under a cell.
-    assert len(builds[1]) == 1
-    assert 1 <= len(builds[2]) <= 2
+    # Serially the design resolves and builds once; each worker does
+    # each at most once, and every resolution and build has the same
+    # shape, re-rooted under a cell.
+    assert len(builds[1]) == 2
+    assert 2 <= len(builds[2]) <= 4
     assert set(builds[1]) == set(builds[2])
-    assert builds[1] == [(("extract.full", "flow.build"),
+    assert builds[1] == [(("designs.resolve", obs.CELL_SPAN),),
+                         (("extract.full", "flow.build"),
                           ("flow.build", obs.CELL_SPAN))]
 
 

@@ -101,7 +101,7 @@ def test_reference_computed_once_per_design(tiny_ref, tmp_path):
     runner = _runner(tmp_path)
     runner.run([JobSpec(design=tiny_ref, policy=Policy.SMART, slack=slack)
                 for slack in (0.6, 0.15)])
-    assert list(runner._ref_metrics) == [tiny_ref]
+    assert list(runner._ref_metrics) == [design_ref_fingerprint(tiny_ref)]
     # Both cells pegged to the same reference; looser budget never
     # needs more upgrades than the tighter one.
     targets_loose = runner.targets_for(tiny_ref, slack=0.6)
@@ -246,9 +246,18 @@ def _timeless(report):
 
 
 def test_warm_api_calls_read_records_only(tiny_ref, tmp_path, unverified,
-                                          loads):
+                                          loads, monkeypatch):
     from repro import api
+    from repro.runner import runner as runner_mod
 
+    resolved: list[str] = []
+    original = runner_mod.resolve_design
+
+    def spy(ref):
+        resolved.append(ref)
+        return original(ref)
+
+    monkeypatch.setattr(runner_mod, "resolve_design", spy)
     store = str(tmp_path / "artifacts")
     calls = [(api.compare, api.CompareRequest(design=tiny_ref, slack=0.15)),
              (api.sweep, api.SweepRequest(design=tiny_ref,
@@ -257,14 +266,18 @@ def test_warm_api_calls_read_records_only(tiny_ref, tmp_path, unverified,
                                        slack=0.3))]
     cold = [call(request, store=store) for call, request in calls]
     assert "FlowResult" not in loads  # a cold ALL-NDR cell reads a record
+    assert resolved
     loads.clear()
+    resolved.clear()
     with obs.capture("warm") as warm_trace:
         warm = [call(request, store=store) for call, request in calls]
-    # Nothing is built or optimized: every cell span of the warm pass
-    # is answered from its stored record.
+    # Nothing is resolved, built or optimized: every cell span of the
+    # warm pass is answered from its stored record.
     spans = {r.name for r in warm_trace.records}
     assert obs.CELL_SPAN in spans
-    assert not spans & {"flow.build", "flow.policy"}, spans
+    assert not spans & {"designs.resolve", "flow.build", "flow.policy"}, \
+        spans
+    assert resolved == []
     assert loads and set(loads) == {"CellRecord"}
     assert all(c.cached for c in warm[0].cells) and warm[2].cached
     assert [_timeless(w) for w in warm] == [_timeless(c) for c in cold]
@@ -292,6 +305,9 @@ def test_budget_blind_cells_share_one_record(tiny_ref, tmp_path,
     # cell is then a hit, and so is every further slack of a policy.
     assert sum(not r.cached for r in results) == len(records) - 1
     design = resolve_design(tiny_ref)
+    # A hit at period budgets is judged from the period its record keeps.
+    assert {record.clock_period for record in records} \
+        == {design.clock_period}
     for result in results:
         job = result.job
         targets = (None if job.slack is None
@@ -467,18 +483,53 @@ def test_designs_resolve_once_per_content(tiny_ref, tmp_path, unverified,
     path = tmp_path / "design.json"
     shutil.copy(tiny_ref, path)
     store = str(tmp_path / "artifacts")
-    api.compare(api.CompareRequest(design=str(path)), store=store)
-    assert resolved == [str(path)]
+    with obs.capture("cold") as cold_trace:
+        api.compare(api.CompareRequest(design=str(path)), store=store)
+    assert resolved == [str(path)]  # the cold compare, once
+    spans = [r for r in cold_trace.records if r.name == "designs.resolve"]
+    assert [r.attrs["design"] for r in spans] == [str(path)]
 
+    # A fresh runner's warm matrix is answered from records alone.
     runner = FlowRunner(store=store)
     matrix = [JobSpec(design=str(path), policy=p) for p in POLICIES]
     first = runner.run(matrix)
     runner.run(matrix)
-    assert len(resolved) == 2  # once for the new runner, then memoized
-    # Rewriting the file changes its content fingerprint: resolve anew.
+    assert all(r.cached for r in first)
+    assert len(resolved) == 1
+    # Rewriting the file changes its content fingerprint: a miss, which
+    # resolves the new content once.
     data = json.loads(path.read_text())
     data["name"] = "renamed"
     path.write_text(json.dumps(data))
     renamed = runner.run(matrix)
-    assert len(resolved) == 3
+    # The pegged ALL-NDR cell reads the new reference's record.
+    assert [r.cached for r in renamed] == [False, True, False]
+    assert len(resolved) == 2
     assert [r.summary for r in renamed] == [r.summary for r in first]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_edited_design_gets_its_own_reference(tiny_ref, tmp_path,
+                                              unverified, jobs):
+    """A long-lived runner pegs an edited design's budgets to the edited
+    design's all-NDR reference, not to the one it measured before."""
+    import json
+    import shutil
+
+    path = tmp_path / "design.json"
+    shutil.copy(tiny_ref, path)
+    matrix = [JobSpec(design=str(path), policy=Policy.SMART, slack=s)
+              for s in (0.15, 0.6)]
+    runner = _runner(tmp_path)
+    before = runner.run(matrix, jobs=jobs)
+    data = json.loads(path.read_text())
+    for flop in data["flops"]:
+        flop["cin"] /= 2
+    path.write_text(json.dumps(data))
+    after = runner.run(matrix, jobs=jobs)
+    fresh = FlowRunner(store=None).run(matrix)
+    assert runner.targets_for(str(path)) \
+        == FlowRunner(store=None).targets_for(str(path))
+    assert [r.summary for r in after] \
+        == [r.summary for r in fresh]  # bit for bit
+    assert [r.summary for r in after] != [r.summary for r in before]

@@ -297,7 +297,7 @@ def test_daemon_keeps_metrics_not_spans(tmp_path, tiny_ref):
 
 def test_daemon_http_errors_and_stats(tmp_path):
     async def main():
-        daemon = ServeDaemon(_daemon_config(tmp_path, warm=False))
+        daemon = ServeDaemon(_daemon_config(tmp_path))
         await daemon.start()
         try:
             out = {}
@@ -384,7 +384,7 @@ BAD_FLOW_BODIES = [
 @pytest.mark.parametrize("path,body", BAD_FLOW_BODIES)
 def test_daemon_rejects_malformed_flow_fields(tmp_path, path, body):
     async def main():
-        daemon = ServeDaemon(_daemon_config(tmp_path, warm=False))
+        daemon = ServeDaemon(_daemon_config(tmp_path))
         await daemon.start()
         try:
             reply = await _post_json(daemon.port, path, body)
@@ -401,7 +401,7 @@ def test_daemon_rejects_malformed_flow_fields(tmp_path, path, body):
 @pytest.mark.parametrize("max_bytes", [True, -1])
 def test_daemon_gc_rejects_bool_and_negative_budgets(tmp_path, max_bytes):
     async def main():
-        daemon = ServeDaemon(_daemon_config(tmp_path, warm=False))
+        daemon = ServeDaemon(_daemon_config(tmp_path))
         daemon.store.save("a" * 64, b"x" * 100)
         await daemon.start()
         try:
@@ -455,7 +455,7 @@ def test_daemon_streams_request_events(tmp_path, tiny_ref):
 
 def test_daemon_shutdown_endpoint_is_clean(tmp_path):
     async def main():
-        daemon = ServeDaemon(_daemon_config(tmp_path, warm=False))
+        daemon = ServeDaemon(_daemon_config(tmp_path))
         await daemon.start()
         status, env = await _post_json(daemon.port, "/v1/shutdown", {})
         await asyncio.wait_for(daemon.run_until_shutdown(), timeout=10)
