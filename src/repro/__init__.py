@@ -32,7 +32,7 @@ from repro.netlist import Design
 from repro.tech import (RoutingRule, RuleName, RULE_SET, Technology,
                         default_technology, rule_by_name)
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "api",

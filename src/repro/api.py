@@ -23,8 +23,9 @@ request defaults live in exactly one place: the dataclass fields.
   :class:`CompareReport`;
 * :func:`sweep` — budget-slack sweep of the smart policy, returning a
   :class:`SweepReport`;
-* :func:`lint` — the DRC/ERC + engine-oracle verifier over a flow, or
-  the whole-program static analyzer (``LintRequest(static=True)``);
+* :func:`lint` — the DRC/ERC + engine-oracle verifier over one flow
+  (the whole-program static analyzer is :mod:`repro.analysis`, which
+  ``repro lint --static`` calls directly);
 * :func:`execute` — dispatch any request object to its entry point;
 * :func:`trace_report` — render a ``--trace`` JSONL file the way the
   ``repro trace`` subcommand does.
@@ -42,9 +43,10 @@ from pathlib import Path
 from typing import Any, ClassVar, Optional, Union
 
 from repro.core import Policy, run_flow
-from repro.runner import FlowRunner, JobResult, JobSpec
+from repro.runner import (FlowRunner, JobResult, JobSpec,
+                          design_ref_fingerprint)
 from repro.tech import Technology, default_technology
-from repro.verify import flow_checks, verify_flow
+from repro.verify import VerifyReport, flow_checks, verify_flow
 
 __all__ = [
     "CellReport",
@@ -73,7 +75,7 @@ __all__ = [
 #: Bump when a request dataclass changes incompatibly (field renames,
 #: semantic changes).  Folded into every request ``content_key``, so a
 #: schema bump also invalidates coalescing/response caches.
-REQUEST_SCHEMA = 2
+REQUEST_SCHEMA = 3
 
 
 # -- result dataclasses --------------------------------------------------------
@@ -232,19 +234,10 @@ class _RequestBase:
 
         fields = {f.name: getattr(self, f.name)
                   for f in dataclasses.fields(self)}  # type: ignore[arg-type]
-        parts: dict[str, Any] = {"schema": REQUEST_SCHEMA, "kind": self.KIND,
-                                 "fields": fields}
-        design = str(fields.get("design", "") or "")
-        if design and self.cacheable:
-            from repro.runner import design_ref_fingerprint
-
-            parts["design_content"] = design_ref_fingerprint(design)
-        return fingerprint(parts)
-
-    @property
-    def cacheable(self) -> bool:
-        """False when a cached response could go stale (static lint)."""
-        return True
+        return fingerprint({"schema": REQUEST_SCHEMA, "kind": self.KIND,
+                            "fields": fields,
+                            "design_content": design_ref_fingerprint(
+                                fields["design"])})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,30 +311,19 @@ class SweepRequest(_RequestBase):
 
 @dataclasses.dataclass(frozen=True)
 class LintRequest(_RequestBase):
-    """A flow's DRC/ERC + oracle checks, or the static analyzer."""
+    """A flow's DRC/ERC + oracle checks on one design."""
 
     KIND: ClassVar[str] = "lint"
 
-    design: str = ""
+    design: str
     policy: str = Policy.SMART.value
     kinds: tuple[str, ...] = ()
-    static: bool = False
-    paths: tuple[str, ...] = ()
-    codes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if not self.design:
+            raise ValueError("lint request needs a design")
         _policy_name(self.policy)
         flow_checks(self.kinds or None)  # a kind no flow check has raises
-        if self.codes and not self.static:
-            raise ValueError("codes= filtering is only for static=True")
-        if not self.static and not self.design:
-            raise ValueError("lint needs a design (or static=True)")
-
-    @property
-    def cacheable(self) -> bool:
-        # A static-analysis response depends on source files no content
-        # key sees; serving it from a response cache could go stale.
-        return not self.static
 
 
 #: Wire tag -> request class (the router's dispatch table).
@@ -392,7 +374,7 @@ def report_to_dict(report: Any) -> dict[str, Any]:
         kind = {CellReport: "run", CompareReport: "compare",
                 SweepReport: "sweep"}[type(report)]
         return {"kind": kind, **dataclasses.asdict(report)}
-    if hasattr(report, "to_json"):  # VerifyReport and kin
+    if isinstance(report, VerifyReport):
         import json
 
         return {"kind": "lint", "report": json.loads(report.to_json()),
@@ -469,28 +451,18 @@ def sweep(request: SweepRequest, *, jobs: int = 1, store: Any = True,
     return SweepReport(design=request.design, points=tuple(points))
 
 
-def lint(request: LintRequest, *, tech: Optional[Technology] = None) -> Any:
-    """Run the verifier: a flow's DRC/ERC + oracle checks, or static.
+def lint(request: LintRequest, *,
+         tech: Optional[Technology] = None) -> VerifyReport:
+    """Run one flow and verify it: its DRC/ERC + engine-oracle checks.
 
-    With ``LintRequest(static=True)`` the whole-program determinism /
-    cache-soundness analyzer runs over ``paths`` (default: the
-    installed package) and the flow fields are ignored; ``codes``
-    restricts the run to rule families by ``fnmatch`` pattern
-    (``codes=("Q*",)`` runs only the dimension checks).  Returns the
-    report object (:class:`~repro.verify.VerifyReport` or the static
-    analyzer's report) — both expose ``has_errors``, ``render()`` and
-    ``to_json()``.
+    The flow runs under the period-derived budgets; ``kinds`` restricts
+    the checks to those kinds (``("drc",)``).  Returns the
+    :class:`~repro.verify.VerifyReport` (``has_errors``, ``render()``,
+    ``to_json()``).
     """
     if not isinstance(request, LintRequest):
         raise TypeError("lint() takes a LintRequest, e.g. "
                         "lint(LintRequest(design='ckt64'))")
-    if request.static:
-        import repro.analysis
-
-        ctx = repro.analysis.build_static_context(
-            list(request.paths) if request.paths else None)
-        return repro.analysis.analyze_program(
-            ctx, codes=list(request.codes) if request.codes else None)
     from repro.core.targets import RobustnessTargets
     from repro.runner import resolve_design
 

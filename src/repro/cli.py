@@ -141,8 +141,7 @@ def _suite_rows(names, args) -> list[tuple]:
 
 def cmd_run(args) -> int:
     """Run one policy on one design; optional rules/report/SVG outputs."""
-    request = FlowRequest(design=args.design, policy=args.policy,
-                          slack=args.slack)
+    request = args.request
     policy = Policy(request.policy)
     runner = _runner(args)
     # Ask for the flow only when an output reads it: a plain run is
@@ -185,8 +184,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     """Compare NO/ALL/SMART on one design."""
-    request = CompareRequest(design=args.design, slack=args.slack)
-    report = compare(request, jobs=args.jobs, store=not args.no_cache)
+    report = compare(args.request, jobs=args.jobs, store=not args.no_cache)
     if args.json:
         print(json.dumps({
             "design": report.design,
@@ -211,10 +209,7 @@ def cmd_sweep(args) -> int:
     budgets derive from it — a sweep costs one reference plus one smart
     flow per point, not one reference per point.
     """
-    request = SweepRequest(design=args.design,
-                           slacks=tuple(float(s)
-                                        for s in args.slacks.split(",")))
-    report = sweep(request, jobs=args.jobs, store=not args.no_cache)
+    report = sweep(args.request, jobs=args.jobs, store=not args.no_cache)
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=2,
                          sort_keys=True))
@@ -378,8 +373,10 @@ def cmd_lint(args) -> int:
 
     ``--static`` analyzes the *source* instead of a flow: the
     whole-program determinism / cache-soundness checker
-    (:mod:`repro.analysis`) over the installed package or a package
-    root given as a positional path (``repro lint --static src/repro``).
+    (:mod:`repro.analysis`) over the installed package or the one
+    package root given as a positional path (``repro lint --static
+    src/repro``).  A second root, or one that is not a directory, is
+    a ``lint: ...`` line and exit 2.
     """
     from repro.api import lint
 
@@ -393,11 +390,16 @@ def cmd_lint(args) -> int:
             print(f"{check.rule:22s} [{check.kind:6s}] {check.doc}")
         return 0
     if args.static:
-        codes = tuple(c.strip() for c in args.codes.split(",") if c.strip())
+        from repro.analysis import analyze_program, build_static_context
+
+        codes = [c.strip() for c in args.codes.split(",") if c.strip()]
         try:
-            report = lint(LintRequest(static=True,
-                                      paths=tuple(args.paths or ()),
-                                      codes=codes))
+            ctx = build_static_context(args.paths)
+        except ValueError as exc:
+            print(f"lint: {exc}", file=sys.stderr)
+            return 2
+        try:
+            report = analyze_program(ctx, codes=codes or None)
         except KeyError as exc:
             print(f"lint: {exc.args[0]}", file=sys.stderr)
             return 2
@@ -637,8 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--static", action="store_true",
                         help="run the whole-program determinism / "
                              "cache-soundness analyzer instead of a flow")
-    p_lint.add_argument("paths", nargs="*",
-                        help="package root for --static "
+    p_lint.add_argument("paths", nargs="*", metavar="ROOT",
+                        help="the one package root for --static "
                              "(default: the installed repro package)")
     add_common_opts(p_lint)
 
@@ -706,9 +708,36 @@ def _finish_trace(tracer: obs.Tracer, args) -> None:
         print(f"trace written to {out}", file=sys.stderr)
 
 
+def _flow_request(args):
+    """The request a ``run``/``compare``/``sweep`` command's flags
+    describe (``None`` for any other command).
+
+    Raises ``ValueError`` for a value the request schema rejects, the
+    values the daemon answers with a 400.
+    """
+    if args.command == "run":
+        return FlowRequest(design=args.design, policy=args.policy,
+                           slack=args.slack)
+    if args.command == "compare":
+        return CompareRequest(design=args.design, slack=args.slack)
+    if args.command == "sweep":
+        try:
+            slacks = tuple(float(s) for s in args.slacks.split(","))
+        except ValueError:
+            raise ValueError(f"--slacks takes comma-separated numbers, "
+                             f"got {args.slacks!r}") from None
+        return SweepRequest(design=args.design, slacks=slacks)
+    return None
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        args.request = _flow_request(args)
+    except ValueError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     design = getattr(args, "design", "")
     try:
         # Hashing a reference fails as resolving it would: KeyError for

@@ -6,9 +6,12 @@ the same design + technology + slack always produces the same answer
 re-running per invocation:
 
 * :class:`ServeDaemon` / :class:`ServeConfig` — the asyncio HTTP/JSON
-  server (``repro serve``) with typed request parsing, a response
-  cache in the :class:`~repro.io.artifacts.ArtifactStore` tier, and
-  streamed obs span trees (:mod:`repro.serve.server`);
+  server (``repro serve``): every flow request is parsed into its typed
+  request, answered from a response cache in the
+  :class:`~repro.io.artifacts.ArtifactStore` tier, a coalesced
+  in-flight computation or the worker pool, and returned as one JSON
+  reply (with the worker's obs span tree under ``?trace=1``)
+  (:mod:`repro.serve.server`);
 * :class:`Coalescer` — single-flight dedup of identical in-flight
   requests (:mod:`repro.serve.coalesce`);
 * :class:`WorkerPool` — the persistent worker-pool bridge that keeps

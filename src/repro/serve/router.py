@@ -1,12 +1,11 @@
 """Minimal HTTP/1.1 plumbing for the serve daemon.
 
 Just enough protocol for a JSON request/response service on the
-standard library: a parsed :class:`HttpRequest`, a renderable
-:class:`HttpResponse` (fixed-length or chunked for event streams),
-and an exact-path :class:`Router`.  No third-party framework — the
-repository's no-new-dependencies rule applies to the service tier
-too, and the daemon's API surface is small enough that a dispatch
-table is clearer than one.
+standard library: a parsed :class:`HttpRequest`, a fixed-length JSON
+:class:`HttpResponse`, and an exact-path :class:`Router`.  No
+third-party framework — the repository's no-new-dependencies rule
+applies to the service tier too, and the daemon's API surface is small
+enough that a dispatch table is clearer than one.
 """
 
 from __future__ import annotations
@@ -57,19 +56,16 @@ class HttpRequest:
         return data
 
     def flag(self, name: str) -> bool:
-        """A boolean query parameter (``?stream=1``)."""
+        """A boolean query parameter (``?trace=1``)."""
         return self.query.get(name, "").lower() in ("1", "true", "yes")
 
 
 @dataclasses.dataclass
 class HttpResponse:
-    """A JSON response; ``stream`` switches to chunked event mode."""
+    """A JSON response with its status code."""
 
     payload: Optional[dict[str, Any]] = None
     status: int = 200
-    #: When set, the connection handler ignores ``payload`` and writes
-    #: chunked JSONL events produced by this async iterator instead.
-    stream: Optional[Any] = None
 
     def encode(self) -> bytes:
         """The full fixed-length HTTP response, head + JSON body."""
@@ -80,25 +76,6 @@ class HttpResponse:
                 f"Content-Length: {len(body)}\r\n"
                 "Connection: close\r\n\r\n")
         return head.encode("ascii") + body
-
-    @staticmethod
-    def stream_head() -> bytes:
-        """The response head opening a chunked JSONL event stream."""
-        return (b"HTTP/1.1 200 OK\r\n"
-                b"Content-Type: application/jsonl\r\n"
-                b"Transfer-Encoding: chunked\r\n"
-                b"Connection: close\r\n\r\n")
-
-    @staticmethod
-    def chunk(event: dict[str, Any]) -> bytes:
-        """One stream event as an HTTP chunk (JSON + newline)."""
-        line = json.dumps(event, sort_keys=True).encode() + b"\n"
-        return f"{len(line):x}\r\n".encode("ascii") + line + b"\r\n"
-
-    @staticmethod
-    def last_chunk() -> bytes:
-        """The zero-length chunk terminating a stream."""
-        return b"0\r\n\r\n"
 
 
 Handler = Callable[[HttpRequest], Awaitable[HttpResponse]]
@@ -141,7 +118,9 @@ def parse_request_head(head: bytes) -> tuple[str, str, dict[str, str],
     except ValueError:
         raise ApiError(400, "malformed request line")
     parts = urlsplit(target)
-    query = dict(parse_qsl(parts.query))
+    # Keep blank values: a bare ``?name`` is still a parameter, which a
+    # flow endpoint must see to reject.
+    query = dict(parse_qsl(parts.query, keep_blank_values=True))
     headers: dict[str, str] = {}
     for line in header_lines:
         if not line:

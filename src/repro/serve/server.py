@@ -1,10 +1,13 @@
 """The flow-service daemon: asyncio HTTP/JSON over :mod:`repro.api`.
 
 :class:`ServeDaemon` accepts run/compare/sweep/lint requests (the
-same typed request objects the CLI parses), answers identical repeats
-from the response cache, coalesces identical *in-flight* work through
-the :class:`~repro.serve.coalesce.Coalescer`, and schedules cold
-requests onto a persistent :class:`~repro.serve.workers.WorkerPool`.
+same typed request objects the CLI parses) and answers each along one
+path with one JSON reply: identical repeats from the response cache,
+identical *in-flight* work through the
+:class:`~repro.serve.coalesce.Coalescer`, and cold requests on a
+persistent :class:`~repro.serve.workers.WorkerPool`.  A body the
+schema rejects, a design that does not resolve and a query parameter
+other than ``trace`` are 400s before any worker sees the request.
 Worker span trees are adopted into an outer ``--trace`` session, so
 that session reads as a single tree across every request and process.
 See ``docs/SERVICE.md`` for the endpoint reference.
@@ -17,7 +20,7 @@ import contextlib
 import dataclasses
 import os
 import time
-from typing import Any, AsyncIterator, Optional
+from typing import Any, Optional
 
 from repro import obs
 from repro.api import REQUEST_KINDS, request_from_dict
@@ -145,15 +148,7 @@ class ServeDaemon:
                          "error": f"{type(exc).__name__}: {exc}"},
                 status=500)
         try:
-            if response.stream is not None:
-                writer.write(HttpResponse.stream_head())
-                await writer.drain()
-                async for event in response.stream:
-                    writer.write(HttpResponse.chunk(event))
-                    await writer.drain()
-                writer.write(HttpResponse.last_chunk())
-            else:
-                writer.write(response.encode())
+            writer.write(response.encode())
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             self._count("dropped_connections")
@@ -176,7 +171,11 @@ class ServeDaemon:
             raise ApiError(400, "malformed Content-Length")
         if length < 0 or length > MAX_BODY_BYTES:
             raise ApiError(400, f"request body over {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise ApiError(400, f"request body ended after "
+                                f"{len(exc.partial)} of {length} bytes")
         request = HttpRequest(method=method, path=path, query=query,
                               headers=headers, body=body)
         handler = self.router.resolve(method, path)
@@ -189,7 +188,6 @@ class ServeDaemon:
         router.add("GET", "/v1/health", self._handle_health)
         router.add("GET", "/v1/stats", self._handle_stats)
         router.add("GET", "/v1/metrics", self._handle_metrics)
-        router.add("GET", "/v1/store/stats", self._handle_store_stats)
         router.add("POST", "/v1/store/gc", self._handle_store_gc)
         router.add("POST", "/v1/shutdown", self._handle_shutdown)
         for kind in REQUEST_KINDS:
@@ -210,10 +208,6 @@ class ServeDaemon:
         tracer = obs.active()
         metrics = tracer.metrics.export() if tracer is not None else {}
         return HttpResponse(payload={"status": "ok", "metrics": metrics})
-
-    async def _handle_store_stats(self, _req: HttpRequest) -> HttpResponse:
-        return HttpResponse(payload={"status": "ok",
-                                     "store": self.store.stats()})
 
     async def _handle_store_gc(self, req: HttpRequest) -> HttpResponse:
         data = req.json()
@@ -241,6 +235,10 @@ class ServeDaemon:
 
     async def _handle_flow_request(self, req: HttpRequest,
                                    kind: str) -> HttpResponse:
+        unknown = sorted(set(req.query) - {"trace"})
+        if unknown:
+            raise ApiError(400, f"unknown query parameters {unknown} "
+                                f"(a flow endpoint takes only 'trace')")
         data = req.json()
         try:
             request = request_from_dict(data, kind=kind)
@@ -248,43 +246,22 @@ class ServeDaemon:
             raise ApiError(400, str(exc))
         # The key hashes the design's content, so an unknown corpus
         # name (KeyError) or an unreadable design file (OSError) fails
-        # here: a 400 before the pool, or a stream's 200 head, sees it.
+        # here: a 400 before the pool sees it.
         try:
-            key = request.content_key() if request.cacheable else None
+            key = request.content_key()
         except (KeyError, OSError) as exc:
             raise ApiError(400, f"cannot resolve design {request.design!r}: "
                                 f"{exc}")
         self._count(f"requests.{kind}")
         obs.counter(f"serve.requests.{kind}").inc()
-        if req.flag("stream"):
-            return HttpResponse(
-                stream=self._event_stream(request, key, req.flag("trace")))
         started = time.monotonic()
         envelope = await self._execute(request, key, req.flag("trace"))
         envelope["elapsed_s"] = round(time.monotonic() - started, 6)
         return HttpResponse(payload=envelope)
 
-    async def _event_stream(self, request: Any, key: Optional[str],
-                            want_trace: bool) -> AsyncIterator[dict]:
-        """The ``?stream=1`` JSONL protocol: accepted → done/error."""
-        yield {"event": "accepted", "kind": request.KIND, "key": key}
-        started = time.monotonic()
-        try:
-            envelope = await self._execute(request, key, want_trace)
-        except Exception as exc:  # noqa: BLE001 - stream the failure
-            yield {"event": "error", "kind": request.KIND,
-                   "error": f"{type(exc).__name__}: {exc}"}
-            return
-        envelope["elapsed_s"] = round(time.monotonic() - started, 6)
-        yield {"event": "done", **envelope}
-
-    async def _execute(self, request: Any, key: Optional[str],
+    async def _execute(self, request: Any, key: str,
                        want_trace: bool) -> dict[str, Any]:
-        """Cache → coalesce → compute, returning the response envelope.
-
-        ``key`` is the request's content key, None when it is not
-        cacheable.
-        """
+        """Cache → coalesce → compute, returning the response envelope."""
         assert self.pool is not None, "daemon not started"
         pool = self.pool
         envelope: dict[str, Any] = {"status": "ok", "kind": request.KIND,
@@ -293,10 +270,6 @@ class ServeDaemon:
         # The daemon's own tracer keeps metrics, not spans: no reader.
         with (contextlib.nullcontext() if self._owns_tracer
               else obs.span("serve.handle", kind=request.KIND)):
-            if key is None:
-                payload = await pool.execute(request.to_dict())
-                self._finish(payload, want_trace, envelope)
-                return envelope
             store_key = response_store_key(key)
             hit = self.store.load(store_key)
             if hit is not None:

@@ -8,9 +8,8 @@ import json
 import pytest
 
 import repro
-from repro.api import (CompareReport, CompareRequest, LintRequest,
-                       SweepReport, SweepRequest, compare, sweep,
-                       trace_report)
+from repro.api import (CompareReport, CompareRequest, SweepReport,
+                       SweepRequest, compare, sweep, trace_report)
 
 
 @pytest.fixture
@@ -75,12 +74,3 @@ def test_trace_report_renders_file(tmp_path):
     path = export_jsonl(tracer, path=tmp_path / "t.jsonl")
     text = trace_report(path)
     assert "phase breakdown" in text and "cell timeline" in text
-
-
-def test_lint_static_analyzes_sources():
-    from repro.api import lint
-
-    report = lint(LintRequest(static=True, paths=("src/repro",)))
-    assert not report.has_errors, report.render()
-    with pytest.raises(ValueError):
-        lint(LintRequest())

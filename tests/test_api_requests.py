@@ -31,7 +31,6 @@ def tiny_ref(tmp_path, tiny_design):
     CompareRequest(design="ckt64", slack=0.4),
     SweepRequest(design="ckt64", slacks=(0.5, 0.2)),
     LintRequest(design="ckt64", kinds=("drc",)),
-    LintRequest(static=True, paths=("src/repro",), codes=("Q*",)),
 ])
 def test_exact_json_round_trip(request_obj):
     wire = json.loads(json.dumps(request_obj.to_dict()))
@@ -82,9 +81,7 @@ def test_requests_validate_eagerly():
     with pytest.raises(ValueError):
         SweepRequest(design="x", slacks=())
     with pytest.raises(ValueError):
-        LintRequest(design="x", codes=("Q*",))  # codes need static
-    with pytest.raises(ValueError):
-        LintRequest()  # non-static needs a design
+        LintRequest(design="")
 
 
 @pytest.mark.parametrize("kinds", [("drcc",), ("static",), ("drc", "import")],
@@ -126,12 +123,6 @@ def test_sweep_slacks_coerce_to_float_tuple():
     req = SweepRequest(design="x", slacks=[1, 0.5])
     assert req.slacks == (1.0, 0.5)
     assert all(isinstance(s, float) for s in req.slacks)
-
-
-def test_static_lint_is_not_cacheable():
-    assert not LintRequest(static=True).cacheable
-    assert LintRequest(design="x").cacheable
-    assert FlowRequest(design="x").cacheable
 
 
 def test_request_field_default_is_the_cli_source_of_truth():

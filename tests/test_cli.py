@@ -186,6 +186,43 @@ def test_unresolvable_design_exits_2_with_one_line(tmp_path, monkeypatch,
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["compare", "--design", "ckt64", "--slack", "-1"],
+     "slack must be non-negative"),
+    (["run", "--design", "ckt64", "--slack", "-0.5"],
+     "slack must be non-negative"),
+    (["sweep", "--design", "ckt64", "--slacks", "0.3,abc"],
+     "--slacks takes comma-separated numbers"),
+    (["sweep", "--design", "ckt64", "--slacks="],
+     "--slacks takes comma-separated numbers"),
+], ids=["compare-slack-neg", "run-slack-neg", "sweep-slack-str",
+        "sweep-slacks-empty"])
+def test_rejected_request_field_exits_2_with_one_line(capsys, argv, reason):
+    """The values the daemon answers with a 400 end the CLI the same way
+    an unresolvable design does."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"repro {argv[0]}: {reason}"), err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("roots,reason", [
+    (["src/repro", "tools"], "static analysis takes one package root"),
+    (["/nonexistent/dir"], "not a package directory"),
+], ids=["two-roots", "missing-root"])
+def test_lint_static_bad_root_exits_2_with_one_line(capsys, roots, reason):
+    code = main(["lint", "--static", *roots])
+    out, err = capsys.readouterr()
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"lint: {reason}"), err
+    assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("checks", ["drcc", "static"])
 def test_lint_unknown_kind_exits_2_with_one_line(capsys, checks):
     code = main(["lint", "--design", "ckt64", "--checks", checks])

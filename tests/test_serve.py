@@ -85,10 +85,10 @@ def test_failures_propagate_and_clear_the_key():
 
 def test_parse_request_head():
     method, path, query, headers = parse_request_head(
-        b"POST /v1/run?stream=1 HTTP/1.1\r\nHost: x\r\n"
+        b"POST /v1/run?trace=1&stream HTTP/1.1\r\nHost: x\r\n"
         b"Content-Length: 2")
     assert (method, path) == ("POST", "/v1/run")
-    assert query == {"stream": "1"}
+    assert query == {"trace": "1", "stream": ""}  # a bare name is kept
     assert headers == {"host": "x", "content-length": "2"}
     with pytest.raises(ApiError):
         parse_request_head(b"garbage")
@@ -331,13 +331,17 @@ def test_daemon_http_errors_and_stats(tmp_path):
     assert out["health"][1]["workers"] == 1
     assert "/v1/run" in out["health"][1]["endpoints"]
     assert out["stats"][1]["coalescer"]["computations"] == 0
-    assert out["store_stats"][1]["store"]["disk_entries"] == 0
+    assert out["stats"][1]["store"]["disk_entries"] == 0
+    # The store's disk usage is the `store` field of /v1/stats only.
+    assert out["store_stats"][0] == 404
+    assert "/v1/store/stats" not in out["health"][1]["endpoints"]
     assert out["gc"][1]["evicted"] == 0
 
 
-#: Bodies the daemon rejects with 400 before any worker sees them: an
-#: out-of-range or mistyped number, an unknown design (also when
-#: streamed, before the 200 head) and an unreadable design file.
+#: Requests the daemon rejects with 400 before any worker sees them:
+#: an out-of-range or mistyped number, an unknown design, an unreadable
+#: design file, a field the schema does not have (lint's former
+#: ``static``) and a query parameter other than ``trace``.
 BAD_FLOW_BODIES = [
     pytest.param("/v1/run", {"design": "x", "slack": "0.2"}, id="run-slack-str"),
     pytest.param("/v1/run", {"design": "x", "slack": -0.1}, id="run-slack-neg"),
@@ -376,8 +380,12 @@ BAD_FLOW_BODIES = [
                  id="lint-unknown-kind"),
     pytest.param("/v1/run", {"design": "no-such-design.json"},
                  id="run-missing-design-file"),
-    pytest.param("/v1/run?stream=1", {"design": "no-such-design"},
-                 id="run-stream-unknown-design"),
+    pytest.param("/v1/lint", {"design": "ckt64", "static": True},
+                 id="lint-static-field"),
+    pytest.param("/v1/run?stream=1", {"design": "ckt64"},
+                 id="run-stream-query"),
+    pytest.param("/v1/compare?trace=1&stream", {"design": "ckt64"},
+                 id="compare-bare-query"),
 ]
 
 
@@ -420,37 +428,34 @@ def test_daemon_gc_rejects_bool_and_negative_budgets(tmp_path, max_bytes):
     assert store.path_for("a" * 64).exists()
 
 
-def test_daemon_streams_request_events(tmp_path, tiny_ref):
+def test_daemon_rejects_truncated_body(tmp_path):
+    """A client that closes before sending its whole Content-Length
+    gets a 400, and nothing reaches the pool."""
     async def main():
         daemon = ServeDaemon(_daemon_config(tmp_path))
         await daemon.start()
         try:
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", daemon.port)
-            body = json.dumps({"design": tiny_ref, "slack": 0.3}).encode()
-            writer.write((f"POST /v1/run?stream=1&trace=1 HTTP/1.1\r\n"
-                          f"Host: t\r\nContent-Length: {len(body)}"
-                          "\r\n\r\n").encode() + body)
-            await writer.drain()
-            raw = await reader.read()
+            writer.write(b"POST /v1/run HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: 100\r\n\r\n"
+                         b'{"design":')
+            writer.write_eof()  # 10 of 100 body bytes, then EOF
+            raw = await asyncio.wait_for(reader.read(), timeout=30)
             writer.close()
             await writer.wait_closed()
-            return raw
+            return raw, daemon.pool.submitted, daemon.stats()
         finally:
             await daemon.stop()
 
-    raw = asyncio.run(main())
-    head, _, payload = raw.partition(b"\r\n\r\n")
-    assert b"chunked" in head
-    # De-chunk: every line that parses as JSON is an event.
-    events = [json.loads(line) for line in payload.split(b"\n")
-              if line.strip().startswith(b"{")]
-    assert [e["event"] for e in events] == ["accepted", "done"]
-    done = events[-1]
-    assert done["result"]["summary"]["power_uw"] > 0
-    # The worker's span tree rode back with the response.
-    names = {r["name"] for r in done["trace"]["records"]}
-    assert "serve.request" in names
+    raw, submitted, stats = asyncio.run(main())
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), raw
+    env = json.loads(body)
+    assert env["status"] == "error"
+    assert "10 of 100 bytes" in env["error"], env
+    assert submitted == 0
+    assert "requests.run" not in stats["counters"]
 
 
 def test_daemon_shutdown_endpoint_is_clean(tmp_path):
